@@ -29,6 +29,17 @@ def _coeff(value, x):
     return value(x) if callable(value) else value
 
 
+def _non_integer(half_q) -> bool:
+    return abs(half_q - round(half_q)) > 1e-12
+
+
+def _domain_error(s, x, half_q) -> HamiltonianDomainError:
+    return HamiltonianDomainError(
+        f"<A(x)xi, xi> = {s} < 0 at x = {as_point(x)} with non-integer "
+        f"q/2 = {half_q}; A(x) is not positive semidefinite there"
+    )
+
+
 @dataclass(frozen=True)
 class PowerHamiltonian:
     """H(x, xi) = <A(x) xi, xi>^(q/2) with symmetric A and q > 1."""
@@ -41,11 +52,8 @@ class PowerHamiltonian:
         A = np.asarray(_coeff(self.A, as_point(x)), dtype=float)
         s = float(xi @ A @ xi)
         half_q = 0.5 * self.q
-        if s < 0 and abs(half_q - round(half_q)) > 1e-12:
-            raise HamiltonianDomainError(
-                f"<A(x)xi, xi> = {s} < 0 at x = {as_point(x)} with non-integer "
-                f"q/2 = {half_q}; A(x) is not positive semidefinite there"
-            )
+        if s < 0 and _non_integer(half_q):
+            raise _domain_error(s, x, half_q)
         return float(np.sign(s) * abs(s) ** half_q) if s < 0 else s**half_q
 
     def slope(self, x, xi) -> np.ndarray:
@@ -57,6 +65,9 @@ class PowerHamiltonian:
         if s <= 0:
             return np.zeros_like(xi) if self.q < 2 or s == 0 else self.q * s ** (0.5 * self.q - 1.0) * Axi
         return self.q * s ** (0.5 * self.q - 1.0) * Axi
+
+    def on_grid(self, points) -> "PowerGrid":
+        return PowerGrid(self, points)
 
 
 @dataclass(frozen=True)
@@ -76,6 +87,9 @@ class SignedScalarHamiltonian:
         if n == 0.0:
             return np.zeros_like(xi)
         return float(_coeff(self.a, as_point(x))) * self.q * n ** (self.q - 2.0) * xi
+
+    def on_grid(self, points) -> "SignedGrid":
+        return SignedGrid(self, points)
 
 
 @dataclass(frozen=True)
@@ -102,6 +116,9 @@ class MinConvexHamiltonian:
     def slope(self, x, xi) -> np.ndarray:
         _, k = self.value_with_witness(x, xi)
         return hamiltonian_slope(self.components[k], x, xi)
+
+    def on_grid(self, points) -> "MinConvexGrid":
+        return MinConvexGrid(self, points)
 
 
 @dataclass(frozen=True)
@@ -159,6 +176,9 @@ class GameHamiltonian:
         alpha, beta = self.alpha_set[ia], self.beta_set[ib]
         return 2.0 * (self.S(x, alpha, beta) - self.T(x, alpha, beta)) @ xi
 
+    def on_grid(self, points) -> "GameGrid":
+        return GameGrid(self, points)
+
 
 def hamiltonian_slope(H, x, xi, fd_step: float = 1e-6) -> np.ndarray:
     """d/dxi H(x, xi), analytic for the built-in forms, central FD otherwise."""
@@ -172,6 +192,172 @@ def hamiltonian_slope(H, x, xi, fd_step: float = 1e-6) -> np.ndarray:
         e[i] = step
         out[i] = (float(H(x, xi + e)) - float(H(x, xi - e))) / (2.0 * step)
     return out
+
+
+# ---------------------------------------------------------------------------
+# whole-array evaluation on a fixed node set
+#
+# A grid evaluator is built once per node set: it evaluates the coefficient
+# fields there, and its values(G) / slopes(G) take one gradient per node
+# (G has shape (n, N)).  Every entry equals the pointwise H(x, xi) /
+# hamiltonian_slope(H, x, xi) bit for bit: the stacked products below run
+# the same BLAS kernels as the pointwise `@`, and powers go through the
+# same scalar float pow (numpy's array power can differ in the last bit).
+
+
+def on_grid(H, points):
+    """Grid evaluator of H at the nodes `points` (shape (n, N)).
+
+    Built-in forms evaluate their coefficients once here; any other
+    Hamiltonian is evaluated node by node, and H = None is the zero term.
+    """
+    points = np.asarray(points, dtype=float)
+    if H is None:
+        return ZeroGrid(len(points))
+    if hasattr(H, "on_grid"):
+        return H.on_grid(points)
+    return NodewiseGrid(H, points)
+
+
+def _scalar_pow(base: np.ndarray, exponent) -> np.ndarray:
+    return np.array([b**exponent for b in base.tolist()])
+
+
+def _quadratic_forms(M: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Per-node quadratic forms <M_i g_i, g_i> for a stack M of (N, N)."""
+    return (G[:, None, :] @ M @ G[:, :, None])[:, 0, 0]
+
+
+class ZeroGrid:
+    """No gradient term."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def values(self, G):
+        return np.zeros(self.n)
+
+    def slopes(self, G):
+        return np.zeros_like(G)
+
+
+class NodewiseGrid:
+    """Fallback for Hamiltonians without a grid form: one call per node."""
+
+    def __init__(self, H, points):
+        self.H = H
+        self.points = points
+
+    def values(self, G):
+        return np.array([self.H(x, g) for x, g in zip(self.points, G)])
+
+    def slopes(self, G):
+        return np.array([hamiltonian_slope(self.H, x, g) for x, g in zip(self.points, G)])
+
+
+class PowerGrid:
+    """<A xi, xi>^(q/2) with the (n, N, N) stack of A(x) at the nodes."""
+
+    def __init__(self, H: PowerHamiltonian, points):
+        self.q = H.q
+        self.points = points
+        self.A = np.array([np.asarray(_coeff(H.A, as_point(x)), dtype=float) for x in points])
+
+    def values(self, G):
+        s = _quadratic_forms(self.A, G)
+        half_q = 0.5 * self.q
+        if _non_integer(half_q):
+            bad = np.flatnonzero(s < 0)
+            if bad.size:
+                i = int(bad[0])
+                raise _domain_error(float(s[i]), self.points[i], half_q)
+        return np.array([-(abs(v) ** half_q) if v < 0 else v**half_q for v in s.tolist()])
+
+    def slopes(self, G):
+        q = self.q
+        s = _quadratic_forms(self.A, G)
+        zero = (s <= 0) & ((q < 2) | (s == 0))
+        coef = q * _scalar_pow(np.where(zero, 1.0, s), 0.5 * q - 1.0)
+        Axi = (self.A @ G[:, :, None])[:, :, 0]
+        return np.where(zero[:, None], 0.0, coef[:, None] * Axi)
+
+
+class SignedGrid:
+    """a |xi|^q with the (n,) vector of a(x) at the nodes."""
+
+    def __init__(self, H: SignedScalarHamiltonian, points):
+        self.q = H.q
+        self.a = np.array([float(_coeff(H.a, as_point(x))) for x in points])
+
+    def _norms(self, G):
+        return np.sqrt((G[:, None, :] @ G[:, :, None])[:, 0, 0])
+
+    def values(self, G):
+        return self.a * _scalar_pow(self._norms(G), self.q)
+
+    def slopes(self, G):
+        n = self._norms(G)
+        zero = n == 0.0
+        p = _scalar_pow(np.where(zero, 1.0, n), self.q - 2.0)
+        return np.where(zero[:, None], 0.0, (self.a * self.q * p)[:, None] * G)
+
+
+class MinConvexGrid:
+    """min_k H_k: component evaluators stacked, reduced with argmin (lowest
+    index on ties)."""
+
+    def __init__(self, H: MinConvexHamiltonian, points):
+        self.parts = [on_grid(Hk, points) for Hk in H.components]
+
+    def _argmin(self, G):
+        V = np.array([part.values(G) for part in self.parts], dtype=float)
+        return V, np.argmin(V, axis=0)
+
+    def values(self, G):
+        V, k = self._argmin(G)
+        return V[k, np.arange(V.shape[1])]
+
+    def slopes(self, G):
+        V, k = self._argmin(G)
+        S = np.array([part.slopes(G) for part in self.parts])
+        return S[k, np.arange(V.shape[1])]
+
+
+class GameGrid:
+    """min over beta of max over alpha, with the sigma and tau stacks over
+    alpha_set x beta_set at the nodes.  argmax over alpha then argmin over
+    beta is the Howard policy (lowest index on ties)."""
+
+    def __init__(self, H: GameHamiltonian, points):
+        def stack(fn):
+            return np.array([[[np.asarray(fn(as_point(x), a, b), dtype=float)
+                               for b in H.beta_set] for a in H.alpha_set]
+                             for x in points])
+
+        self.sigma = stack(H.sigma)  # (n, |alpha|, |beta|, N, m)
+        self.tau = stack(H.tau)
+        S = self.sigma @ np.swapaxes(self.sigma, -1, -2)
+        T = self.tau @ np.swapaxes(self.tau, -1, -2)
+        self.M = 2.0 * (S - T)  # d/dxi of each term is M xi
+
+    def _policy(self, G):
+        g = G[:, None, None, :, None]
+        sx = np.swapaxes(self.sigma, -1, -2) @ g
+        tx = np.swapaxes(self.tau, -1, -2) @ g
+        terms = (np.swapaxes(sx, -1, -2) @ sx - np.swapaxes(tx, -1, -2) @ tx)[..., 0, 0]
+        ia = np.argmax(terms, axis=1)  # best alpha per (node, beta)
+        best = np.take_along_axis(terms, ia[:, None, :], axis=1)[:, 0, :]
+        ib = np.argmin(best, axis=1)
+        nodes = np.arange(len(G))
+        return best[nodes, ib], ia[nodes, ib], ib
+
+    def values(self, G):
+        return self._policy(G)[0]
+
+    def slopes(self, G):
+        _, ia, ib = self._policy(G)
+        M = self.M[np.arange(len(G)), ia, ib]
+        return (M @ G[:, :, None])[:, :, 0]
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,11 @@ the sweep is exactly Howard policy iteration (freeze policies, solve,
 re-optimize).  lf is re-tuned every iteration from the current gradient
 range with a 1.2 safety factor and recorded in the report.
 
+The coefficients are evaluated once per grid: DiscreteOperator samples the
+diffusion, the drift and the Hamiltonian's coefficient fields at the
+interior nodes when it is built (hamiltonians.on_grid), and every
+iteration evaluates H and dH/dxi as whole arrays over the nodes.
+
 Truncation replaces behavior at infinity by Dirichlet data; choosing
 boundary traces of candidate solutions with different growth tells the
 non-uniqueness story at desk scale.
@@ -36,7 +41,7 @@ import scipy.sparse.linalg as spla
 
 from . import growth as growth_mod
 from .fields import as_point
-from .hamiltonians import GameHamiltonian, check_A4, compute_gamma, hamiltonian_slope
+from .hamiltonians import GameHamiltonian, check_A4, compute_gamma, on_grid
 from .operators import check_A1_A3
 from .residual import SmoothCandidate, verify_solution
 
@@ -173,6 +178,8 @@ class DiscreteOperator:
                 )
         self.D = [diff[:, ax, ax] for ax in range(problem.N)]
         self.bdrift = np.array([problem.operator.b_at(x) for x in self.points_int])
+        # values(G) / slopes(G) of the gradient term at the interior nodes
+        self.hamiltonian = on_grid(problem.hamiltonian, self.points_int)
 
     # -- array plumbing ----------------------------------------------------
 
@@ -207,18 +214,6 @@ class DiscreteOperator:
             total += np.maximum(b, 0.0) * bwd + np.minimum(b, 0.0) * fwd
         return total
 
-    def hamiltonian_values(self, grads: np.ndarray) -> np.ndarray:
-        H = self.problem.hamiltonian
-        if H is None:
-            return np.zeros(self.n_interior)
-        return np.array([H(x, g) for x, g in zip(self.points_int, grads)])
-
-    def hamiltonian_slopes(self, grads: np.ndarray) -> np.ndarray:
-        H = self.problem.hamiltonian
-        if H is None:
-            return np.zeros_like(grads)
-        return np.array([hamiltonian_slope(H, x, g) for x, g in zip(self.points_int, grads)])
-
     def lf_field(self, lf) -> np.ndarray:
         """Normalize dissipation input to a per-node, per-axis array."""
         arr = np.asarray(lf, dtype=float)
@@ -231,7 +226,7 @@ class DiscreteOperator:
     def local_dissipation(self, u: np.ndarray) -> np.ndarray:
         """Local Lax-Friedrichs coefficients: 1.2 x |dH/dxi| at the current
         central gradients, per node and axis."""
-        return 1.2 * np.abs(self.hamiltonian_slopes(self.central_gradient(u)))
+        return 1.2 * np.abs(self.hamiltonian.slopes(self.central_gradient(u)))
 
     def linear_residual(self, u: np.ndarray, f_int: np.ndarray) -> np.ndarray:
         """Residual of the gradient-term-free part only (warm-start system)."""
@@ -249,7 +244,7 @@ class DiscreteOperator:
             val -= self.D[ax] * self.second_difference(u, ax)
         val += self.upwind_drift(u)
         grads = self.central_gradient(u)
-        val += self.hamiltonian_values(grads)
+        val += self.hamiltonian.values(grads)
         for ax in range(self.problem.N):
             val -= lf[:, ax] * (self.h[ax] / 2.0) * self.second_difference(u, ax)
         return f_int - val
@@ -261,10 +256,12 @@ class DiscreteOperator:
         N = self.problem.N
         lam = self.problem.lam
         lf = self.lf_field(lf)
-        rows, cols, vals = [], [], []
         diag = np.full(self.n_interior, lam)
         max_offdiag = 0.0
-        idx = np.arange(self.n_interior).reshape(self.int_shape)
+        nodes = np.arange(self.n_interior)
+        idx = nodes.reshape(self.int_shape)
+        # COO triplets: per axis the +1 and -1 neighbours, then the diagonal
+        rows, cols, vals = [], [], []
         for ax in range(N):
             h = self.h[ax]
             Deff = self.D[ax] + lf[:, ax] * h / 2.0
@@ -280,17 +277,12 @@ class DiscreteOperator:
             src = idx[tuple(take)].ravel()
             take[ax] = slice(1, None)
             dst = idx[tuple(take)].ravel()
-            rows.extend(src)
-            cols.extend(dst)
-            vals.extend(c_plus[src])
-            rows.extend(dst)
-            cols.extend(src)
-            vals.extend(c_minus[dst])
-        rows.extend(range(self.n_interior))
-        cols.extend(range(self.n_interior))
-        vals.extend(diag)
+            rows += [src, dst]
+            cols += [dst, src]
+            vals += [c_plus[src], c_minus[dst]]
         A = sp.csr_matrix(
-            (np.asarray(vals), (np.asarray(rows), np.asarray(cols))),
+            (np.concatenate(vals + [diag]),
+             (np.concatenate(rows + [nodes]), np.concatenate(cols + [nodes]))),
             shape=(self.n_interior, self.n_interior),
         )
         monotone = max_offdiag <= 1e-12 and float(diag.min()) > 0.0
@@ -380,7 +372,7 @@ def solve(problem, box: Box, h: float, boundary, config: SchemeConfig | None = N
     iterations = 0
     for iterations in range(1, config.max_iters + 1):
         grads = disc.central_gradient(u)
-        slopes = disc.hamiltonian_slopes(grads)
+        slopes = disc.hamiltonian.slopes(grads)
         abs_slopes = np.abs(slopes)
         if user_lf is None:
             lf = 1.2 * abs_slopes  # local Lax-Friedrichs

@@ -17,6 +17,7 @@ from viscompare.hamiltonians import (
     estimate_C0,
     estimate_delta,
     hamiltonian_slope,
+    on_grid,
 )
 
 
@@ -27,6 +28,17 @@ def make_game(sigmas, taus, n=1):
     sig = lambda x, a, b: np.atleast_2d(np.asarray(sigmas[a][b], dtype=float))
     tau = lambda x, a, b: np.atleast_2d(np.asarray(taus[a][b], dtype=float))
     return GameHamiltonian(alpha_set, beta_set, sig, tau)
+
+
+class Shifted:
+    """Convex quadratic (xi_0 - c)^2 with no analytic slope and no grid form."""
+
+    def __init__(self, c):
+        self.c = c
+        self.q = 2.0
+
+    def __call__(self, x, xi):
+        return (float(np.atleast_1d(xi)[0]) - self.c) ** 2
 
 
 def brute_force_game(H, x, xi):
@@ -140,14 +152,6 @@ def test_H1_concave_signed_fails_with_witness():
 def test_H1_min_of_crossing_convex_components_fails():
     # two crossing convex quadratics (xi -+ 1)^2; their min is W-shaped.
     # located by 1-d scan: worst midpoint violation at xi1 = -xi2 = 1
-    class Shifted:
-        def __init__(self, c):
-            self.c = c
-            self.q = 2.0
-
-        def __call__(self, x, xi):
-            return (float(np.atleast_1d(xi)[0]) - self.c) ** 2
-
     H = MinConvexHamiltonian(components=(Shifted(1.0), Shifted(-1.0)), q=2.0)
     grid = np.linspace(-2, 2, 81)
     worst_scan = max(
@@ -410,3 +414,134 @@ def test_generic_slope_fd_dispatch():
     H = lambda x, xi: float(np.dot(xi, xi)) ** 1.5
     s = hamiltonian_slope(H, np.zeros(2), np.array([1.0, 0.0]))
     assert s[0] == pytest.approx(3.0, rel=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# grid evaluators against the pointwise forms
+
+
+def grid_inputs(N, n=60, seed=0):
+    """Nodes and gradients with zero gradients and an exact tie row."""
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(-2.0, 2.0, size=(n, N))
+    G = rng.normal(scale=1.5, size=(n, N))
+    G[:4] = 0.0
+    G[4:8] = 1.0  # diag(1,2) vs diag(2,1) forms tie at (1, 1)
+    G[8] = -0.0
+    return points, G
+
+
+def assert_grid_matches_pointwise(H, points, G):
+    grid = on_grid(H, points)
+    want_v = np.array([H(x, g) for x, g in zip(points, G)])
+    want_s = np.array([hamiltonian_slope(H, x, g) for x, g in zip(points, G)])
+    got_v, got_s = grid.values(G), grid.slopes(G)
+    assert np.array_equal(got_v, want_v)
+    assert np.array_equal(got_s, want_s)
+    return got_v, got_s
+
+
+def poly_matrix(N):
+    # symmetric positive definite A(x) with x-dependent entries
+    def A(x):
+        x = np.atleast_1d(x)
+        M = np.diag(0.5 + 0.1 * x**2)
+        if N == 2:
+            M[0, 1] = M[1, 0] = 0.05 * x[0] * x[1] / (1.0 + x[0] ** 2 + x[1] ** 2)
+        return M
+    return A
+
+
+@pytest.mark.parametrize("N", [1, 2])
+@pytest.mark.parametrize("q", [2.0, 1.5, 3.0, 2.5, 4.0])
+def test_power_grid_matches_pointwise(N, q):
+    points, G = grid_inputs(N, seed=int(10 * q) + N)
+    assert_grid_matches_pointwise(PowerHamiltonian(A=poly_matrix(N), q=q), points, G)
+    assert_grid_matches_pointwise(PowerHamiltonian(A=2.0 * np.eye(N), q=q), points, G)
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_power_grid_indefinite_even_power(N):
+    # q = 4: q/2 is an integer, so negative <A xi, xi> is allowed
+    points, G = grid_inputs(N, seed=3)
+    A = np.diag([1.0, -1.0][:N]) if N == 2 else -np.eye(1)
+    v, _ = assert_grid_matches_pointwise(PowerHamiltonian(A=A, q=4.0), points, G)
+    assert (v < 0).any()
+
+
+def test_power_grid_domain_error_names_first_node():
+    points, G = grid_inputs(2, seed=5)
+    H = PowerHamiltonian(A=np.diag([1.0, -1.0]), q=3.0)
+    s = G[:, 0] ** 2 - G[:, 1] ** 2
+    first = int(np.flatnonzero(s < 0)[0])
+    with pytest.raises(HamiltonianDomainError) as pointwise:
+        H(points[first], G[first])
+    with pytest.raises(HamiltonianDomainError) as grid:
+        on_grid(H, points).values(G)
+    assert str(grid.value) == str(pointwise.value)
+    assert f"at x = {points[first]}" in str(grid.value)
+
+
+@pytest.mark.parametrize("N", [1, 2])
+@pytest.mark.parametrize("q", [2.0, 1.5, 3.0])
+def test_signed_grid_matches_pointwise(N, q):
+    points, G = grid_inputs(N, seed=int(10 * q) + 7 * N)
+    H = SignedScalarHamiltonian(a=lambda x: float(np.atleast_1d(x)[0]) ** 3, q=q)
+    assert_grid_matches_pointwise(H, points, G)
+    assert_grid_matches_pointwise(SignedScalarHamiltonian(a=-0.5, q=q), points, G)
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_minconvex_grid_matches_pointwise_lowest_index_on_ties(N):
+    points, G = grid_inputs(N, seed=11)
+    if N == 1:
+        comps = (PowerHamiltonian(A=np.eye(1), q=2.0), PowerHamiltonian(A=np.eye(1), q=2.0),
+                 PowerHamiltonian(A=4.0 * np.eye(1), q=2.0))
+    else:
+        comps = (PowerHamiltonian(A=np.diag([1.0, 2.0]), q=2.0),
+                 PowerHamiltonian(A=np.diag([2.0, 1.0]), q=2.0),
+                 SignedScalarHamiltonian(a=3.0, q=2.0))
+    H = MinConvexHamiltonian(components=comps, q=2.0)
+    _, slopes = assert_grid_matches_pointwise(H, points, G)
+    if N == 2:
+        # at xi = (1, 1) the first two components tie; component 0 wins
+        assert np.array_equal(slopes[4], [2.0, 4.0])
+
+
+def test_minconvex_grid_nodewise_component():
+    points, G = grid_inputs(1, seed=13)
+    G[10:14] = 0.0  # Shifted(1) and Shifted(-1) tie at xi = 0
+    H = MinConvexHamiltonian(components=(Shifted(1.0), PowerHamiltonian(A=np.eye(1), q=2.0),
+                                         Shifted(-1.0)), q=2.0)
+    assert_grid_matches_pointwise(H, points, G)
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_game_grid_matches_pointwise_lowest_index_on_ties(N):
+    points, G = grid_inputs(N, seed=17)
+    I = np.eye(N)
+    if N == 1:
+        sigmas = [[1.0 * I, 1.2 * I], [1.0 * I, 1.5 * I]]  # alpha rows tie for beta 0
+        taus = [[0.25 * I, 0.1 * I], [0.25 * I, 0.2 * I]]
+    else:
+        sigmas = [[np.diag([1.0, 2.0]), 3.0 * I], [np.diag([2.0, 1.0]), np.diag([3.0, 2.5])]]
+        taus = [[0.25 * I, 0.1 * I], [0.25 * I, np.diag([0.2, 0.3])]]
+    H = make_game(sigmas, taus)
+    _, slopes = assert_grid_matches_pointwise(H, points, G)
+    if N == 2:
+        # at xi = (1, 1) alpha = 0 and alpha = 1 tie under beta = 0; alpha 0 wins
+        want = 2.0 * (np.diag([1.0, 4.0]) - 0.0625 * I) @ np.ones(2)
+        assert np.array_equal(slopes[4], want)
+    # x-dependent sigma through the whole stack
+    Hx = GameHamiltonian((0, 1), (0, 1, 2),
+                         lambda x, a, b: np.diag(1.0 + 0.1 * (a + 1) * np.abs(x) + 0.05 * b),
+                         lambda x, a, b: 0.2 * np.diag(np.cos(x + a - b)))
+    assert_grid_matches_pointwise(Hx, points, G)
+
+
+def test_nodewise_and_zero_grids():
+    points, G = grid_inputs(2, seed=19)
+    assert_grid_matches_pointwise(Shifted(0.5), points, G)
+    zero = on_grid(None, points)
+    assert np.array_equal(zero.values(G), np.zeros(len(points)))
+    assert np.array_equal(zero.slopes(G), np.zeros_like(G))

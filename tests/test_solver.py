@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from viscompare.hamiltonians import GameHamiltonian
 from viscompare.operators import DriftDiffusionOperator
 from viscompare.problems import (
     ProblemSpec,
     eq12,
     eq12_solutions,
     eq13,
+    example1,
     game_problem,
     signswitch,
 )
@@ -329,3 +332,80 @@ def test_report_fields_and_json():
     assert "wall_time" not in d
     assert d["converged"] is True
     assert rep.final_residual_norm <= 1e-9
+
+
+def test_coefficients_evaluated_once_per_grid():
+    calls = {"A": 0, "sigma": 0, "tau": 0}
+
+    def A(x):
+        calls["A"] += 1
+        return np.diag(1.0 + 0.1 * np.asarray(x) ** 2)
+
+    problem = example1(sigma=np.eye(2), b=np.zeros(2), A=A, q=2.0, f=1.0, N=2)
+    sol, rep = solve(problem, Box(center=(0.0, 0.0), half_width=(1.0, 1.0)), 0.25, 0.0)
+    assert rep.converged and rep.iterations > 5
+    assert calls["A"] == 7 * 7  # once per interior node
+
+    def counted(key, value):
+        def fn(x, a, b):
+            calls[key] += 1
+            return np.array([[value(a, b)]])
+        return fn
+
+    ham = GameHamiltonian(alpha_set=(0, 1, 2), beta_set=(0, 1),
+                          sigma=counted("sigma", lambda a, b: 1.0 + 0.5 * a + 0.1 * b),
+                          tau=counted("tau", lambda a, b: 0.25))
+    gp = game_problem(1.0)
+    problem = ProblemSpec(N=1, lam=1.0, operator=gp.operator, hamiltonian=ham, q=2.0,
+                          f=lambda x: 0.5 + float(x[0]) ** 2)
+    sol, rep = solve(problem, Box(center=(0.0,), half_width=(1.0,)), 0.1, 0.0)
+    assert rep.converged and rep.iterations > 5
+    assert calls["sigma"] == calls["tau"] == 19 * 3 * 2
+
+
+def assemble_reference(disc, slopes, lf):
+    """Triplets appended entry by entry, in the order assemble() uses."""
+    N = disc.problem.N
+    lf = disc.lf_field(lf)
+    rows, cols, vals = [], [], []
+    diag = np.full(disc.n_interior, disc.problem.lam)
+    idx = np.arange(disc.n_interior).reshape(disc.int_shape)
+    for ax in range(N):
+        h = disc.h[ax]
+        Deff = disc.D[ax] + lf[:, ax] * h / 2.0
+        b = disc.bdrift[:, ax]
+        s = slopes[:, ax]
+        diag += 2.0 * Deff / h**2 + np.abs(b) / h
+        c_plus = -Deff / h**2 + np.minimum(b, 0.0) / h + s / (2.0 * h)
+        c_minus = -Deff / h**2 - np.maximum(b, 0.0) / h - s / (2.0 * h)
+        take = [slice(None)] * N
+        take[ax] = slice(None, -1)
+        src = idx[tuple(take)].ravel()
+        take[ax] = slice(1, None)
+        dst = idx[tuple(take)].ravel()
+        for i, j in zip(src, dst):
+            rows.append(i), cols.append(j), vals.append(c_plus[i])
+        for i, j in zip(src, dst):
+            rows.append(j), cols.append(i), vals.append(c_minus[j])
+    for i in range(disc.n_interior):
+        rows.append(i), cols.append(i), vals.append(diag[i])
+    return sp.csr_matrix((np.asarray(vals), (np.asarray(rows), np.asarray(cols))),
+                         shape=(disc.n_interior, disc.n_interior))
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_assemble_matches_entrywise_reference(N):
+    b = (lambda x: np.array([0.3, -0.2])[:N] * np.asarray(x)) if N == 2 else np.array([0.4])
+    op = DriftDiffusionOperator(sigma=np.eye(N), b=b, N=N)
+    problem = ProblemSpec(N=N, lam=1.0, operator=op, hamiltonian=None, q=2.0, f=0.0)
+    disc = discretize(problem, Box(center=(0.0,) * N, half_width=(1.0,) * N), 0.2)
+    rng = np.random.default_rng(N)
+    slopes = rng.normal(scale=20.0, size=(disc.n_interior, N))
+    lf = 1.2 * np.abs(slopes)
+    A, monotone = disc.assemble(slopes, lf)
+    ref = assemble_reference(disc, slopes, lf)
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(A, attr), getattr(ref, attr))
+    assert monotone
+    _, broken = disc.assemble(slopes, 0.0)
+    assert not broken
