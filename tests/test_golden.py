@@ -1,8 +1,10 @@
-"""Golden report.json fixtures for the solver-backed CLI subcommands.
+"""Golden fixtures for the CLI subcommands.
 
-Each case runs one subcommand on a fixed scenario and compares the
-report.json it writes, byte for byte, with the committed fixture in
-tests/golden/.  A change that is meant to move the numbers regenerates the
+Each case runs one subcommand on a fixed scenario and compares, byte for
+byte, the report.json and every residual_*.csv it writes with the committed
+fixtures in tests/golden/ (`<case>.report.json`, `<case>.<csv name>`).  The
+refusal cases pin the exit code of scenarios the CLI must reject as parse
+errors.  A change that is meant to move the numbers regenerates the
 fixtures with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -16,9 +18,10 @@ from pathlib import Path
 
 import pytest
 
-from viscompare.cli import EXIT_OK, main
+from viscompare.cli import EXIT_OK, EXIT_PARSE, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+WINDOW = [10.0, 100.0, 1000.0]
 
 
 def _grid(center, half_width, h):
@@ -32,8 +35,12 @@ def _compare(builtin):
             "boundary_low": 0.0, "boundary_high": 0.25}
 
 
+def _hypotheses(name, problem):
+    return (f"check_hypotheses_{name}", "check-hypotheses", {"problem": problem})
+
+
 # (fixture name, subcommand, scenario)
-CASES = [
+SOLVER_CASES = [
     ("solve_eq12_u2", "solve",
      {"problem": {"builtin": "eq12", "lambda": 1.0},
       "grid": _grid([0.0], [5.0], 0.05), "boundary": {"trace": "u2"}}),
@@ -66,22 +73,86 @@ CASES = [
       "grid": _grid([0.0], [3.0], 0.05), "boundary": 0.5}),
 ]
 
+SOLVER_FREE_CASES = [
+    _hypotheses("eq12", {"builtin": "eq12", "lambda": 1.0}),
+    _hypotheses("eq13", {"builtin": "eq13", "lambda": 1.0, "f": {"name": "bracket"}}),
+    _hypotheses("eq13_2d", {"builtin": "eq13", "lambda": 1.0, "N": 2}),
+    _hypotheses("hje3", {"builtin": "hje3", "lambda": 1.0, "t": 1.0}),
+    # ex2 has lambda = 1 built in and ignores the scenario's lambda
+    _hypotheses("ex2_lambda3", {"builtin": "ex2", "lambda": 3.0}),
+    # example1 without f solves with f = 0
+    _hypotheses("example1_no_f", {"builtin": "example1", "N": 1, "sigma": [[1.0]],
+                                  "b": [0.0], "A": [[1.0]]}),
+    _hypotheses("signswitch", {"builtin": "signswitch", "lambda": 1.0}),
+    _hypotheses("minconvex", {"builtin": "minconvex", "lambda": 1.0}),
+    _hypotheses("game", {"builtin": "game", "lambda": 1.0}),
+    ("check_hypotheses_system2", "check-hypotheses",
+     {"system": {"builtin": "system2", "coupling": "mean", "c": 0.5}}),
+    ("classify_growth_ex2", "classify-growth", {"problem": {"builtin": "ex2"}}),
+    ("verify_classical_eq12", "verify-classical",
+     {"problem": {"builtin": "eq12", "lambda": 1.0}}),
+    ("verify_classical_hje3", "verify-classical",
+     {"problem": {"builtin": "hje3", "lambda": 1.0, "t": 1.0}}),
+    ("verify_classical_ex2", "verify-classical", {"problem": {"builtin": "ex2"}}),
+    ("barrier_strict_eq13", "barrier",
+     {"problem": {"builtin": "eq13", "lambda": 1.0}, "window": WINDOW, "mu": [0.5, 0.9]}),
+    # hje3's drift grows linearly: the strict construction refuses and the
+    # lambda0 ladder runs
+    ("barrier_relaxed_hje3", "barrier",
+     {"problem": {"builtin": "hje3", "lambda": 1.0, "t": 1.0}, "window": WINDOW,
+      "mu": [0.9]}),
+]
 
-def run_case(name, cmd, scenario, workdir: Path) -> Path:
+CASES = SOLVER_CASES + SOLVER_FREE_CASES
+
+# (case name, subcommand, scenario) that must exit with EXIT_PARSE
+REFUSALS = [
+    ("unknown_builtin", "check-hypotheses", {"problem": {"builtin": "eq99"}}),
+    ("trace_on_eq13", "solve",
+     {"problem": {"builtin": "eq13"}, "grid": _grid([0.0], [1.0], 0.1),
+      "boundary": {"trace": "u2"}}),
+    ("unknown_trace_label", "solve",
+     {"problem": {"builtin": "eq12"}, "grid": _grid([0.0], [1.0], 0.1),
+      "boundary": {"trace": "u3"}}),
+    ("verify_classical_eq13", "verify-classical", {"problem": {"builtin": "eq13"}}),
+    ("nonuniqueness_eq13", "nonuniqueness",
+     {"problem": {"builtin": "eq13"}, "grid": _grid([0.0], [1.0], 0.1)}),
+]
+
+
+def run_case(name, cmd, scenario, workdir: Path):
     path = workdir / f"{name}.json"
     path.write_text(json.dumps({"id": name, **scenario}, sort_keys=True))
     outdir = workdir / name
-    code = main([cmd, str(path), "--out", str(outdir)])
-    if code != EXIT_OK:
-        raise AssertionError(f"{cmd} {name} exited with {code}")
-    return outdir / "report.json"
+    return main([cmd, str(path), "--out", str(outdir)]), outdir
+
+
+def written_files(name, outdir: Path) -> dict:
+    """Fixture name -> output file, for report.json and every residual CSV."""
+    files = {f"{name}.report.json": outdir / "report.json"}
+    for csv in sorted(outdir.glob("residual_*.csv")):
+        files[f"{name}.{csv.name}"] = csv
+    return files
 
 
 @pytest.mark.parametrize("name,cmd,scenario", CASES, ids=[c[0] for c in CASES])
 def test_report_matches_golden(name, cmd, scenario, tmp_path):
-    got = run_case(name, cmd, scenario, tmp_path).read_bytes()
-    want = (GOLDEN_DIR / f"{name}.report.json").read_bytes()
-    assert got == want
+    code, outdir = run_case(name, cmd, scenario, tmp_path)
+    assert code == EXIT_OK
+    got = written_files(name, outdir)
+    want = sorted(p.name for p in GOLDEN_DIR.glob(f"{name}.*")
+                  if p.name.endswith(".report.json") or ".residual_" in p.name)
+    assert sorted(got) == want
+    for fixture, path in got.items():
+        assert path.read_bytes() == (GOLDEN_DIR / fixture).read_bytes(), fixture
+
+
+@pytest.mark.parametrize("name,cmd,scenario", REFUSALS, ids=[c[0] for c in REFUSALS])
+def test_refusal_exit_code(name, cmd, scenario, tmp_path, capsys):
+    code, outdir = run_case(name, cmd, scenario, tmp_path)
+    assert code == EXIT_PARSE
+    assert capsys.readouterr().err.count("PARSE_ERROR:") == 1
+    assert not (outdir / "report.json").exists()
 
 
 if __name__ == "__main__":
@@ -90,6 +161,9 @@ if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name, cmd, scenario in CASES:
-            report = run_case(name, cmd, scenario, Path(tmp))
-            (GOLDEN_DIR / f"{name}.report.json").write_bytes(report.read_bytes())
-            print(f"wrote {name}.report.json", file=sys.stderr)
+            code, outdir = run_case(name, cmd, scenario, Path(tmp))
+            if code != EXIT_OK:
+                raise SystemExit(f"{cmd} {name} exited with {code}")
+            for fixture, path in written_files(name, outdir).items():
+                (GOLDEN_DIR / fixture).write_bytes(path.read_bytes())
+                print(f"wrote {fixture}", file=sys.stderr)
