@@ -44,16 +44,15 @@ from .operators import (
     canonical_extremal,
 )
 from .problems import ProblemSpec, eq12, eq13, ex2, hje3, signswitch
-from .residual import SmoothCandidate, mu_subsolution_residual, pde_residual, verify_solution
+from .residual import (SmoothCandidate, manufactured_rhs, mu_subsolution_residual,
+                       pde_residual, verify_solution)
 from .solver import (
     Box,
     DiscreteField,
     SchemeConfig,
     SolveReport,
     comparison_check,
-    discretize,
     gamma_pinning_check,
-    manufactured_rhs,
     nonuniqueness_demo,
     solve,
 )

@@ -25,12 +25,12 @@ every report carries the window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import growth
-from .fields import as_point
+from .fields import as_point, as_points
 from .operators import check_F3_F4_growth
 
 
@@ -102,6 +102,8 @@ class StrictnessReport:
     passed: bool
     grid_size: int
     window_radius: float
+    # the residual at every grid point, in grid order; not part of the report
+    residuals: np.ndarray = field(default=None, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -272,33 +274,28 @@ def extremal_residual(problem, params: BarrierParams, w_value: float, w_grad, w_
     )
 
 
-def _grid_points(grid, window: Window | None, dim: int) -> np.ndarray:
-    if grid is None:
-        if window is None:
-            raise ValueError("either grid or window must be given")
-        return window_points(window, dim)
-    pts = np.asarray(grid, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1) if dim == 1 else pts.reshape(1, -1)
-    return pts
+def _strictness(residuals, pts: np.ndarray, window_radius: float) -> StrictnessReport:
+    """Report the first minimal residual, or fail at the first non-finite one."""
+    residuals = np.asarray(residuals, dtype=float)
+    bad = ~np.isfinite(residuals)
+    i = int(np.argmax(bad)) if bad.any() else int(np.argmin(residuals))
+    return StrictnessReport(
+        min_residual=float(residuals[i]),
+        argmin=pts[i],
+        passed=bool(not bad.any() and residuals[i] > 0.0),
+        grid_size=len(pts),
+        window_radius=window_radius,
+        residuals=residuals,
+    )
 
 
 def verify_strict(problem, params: BarrierParams, grid=None) -> StrictnessReport:
-    """Minimum extremal residual of the barrier over the grid; pass iff > 0."""
-    pts = _grid_points(grid, Window(params.window_radius), problem.N)
-    best, arg = np.inf, pts[0]
-    for x in pts:
-        v, g, h = eval_barrier(params, x)
-        r = extremal_residual(problem, params, v, g, h, x)
-        if r < best:
-            best, arg = r, x
-    return StrictnessReport(
-        min_residual=float(best),
-        argmin=np.asarray(arg),
-        passed=best > 0.0,
-        grid_size=len(pts),
-        window_radius=params.window_radius,
-    )
+    """Minimum extremal residual of the barrier over the grid (default: the
+    params' window); pass iff every residual is finite and > 0."""
+    pts = (window_points(Window(params.window_radius), problem.N) if grid is None
+           else as_points(grid, problem.N))
+    res = [extremal_residual(problem, params, *eval_barrier(params, x), x) for x in pts]
+    return _strictness(res, pts, params.window_radius)
 
 
 def lambda0_for_SG(problem, mu: float, window: Window,
@@ -373,17 +370,11 @@ def linear_case_barrier(problem, window: Window, alpha: float = 1.0):
     C1 = max(1.0, C_eps / lam + 1.0)
     bar = LinearBarrier(alpha=max(1.0, alpha), C1=C1, eps=eps, C_eps=C_eps,
                         lam=lam, q_prime=q_prime, window_radius=window.radius)
-    best, arg = np.inf, pts[0]
+    res = []
     for x in pts:
         v, g, h = bar(x)
-        r = lam * v + problem.P(x, h) - problem.b0_at(x) * float(np.linalg.norm(g))
-        if r < best:
-            best, arg = r, x
-    report = StrictnessReport(
-        min_residual=float(best), argmin=np.asarray(arg), passed=best > 0.0,
-        grid_size=len(pts), window_radius=window.radius,
-    )
-    return bar, report
+        res.append(lam * v + problem.P(x, h) - problem.b0_at(x) * float(np.linalg.norm(g)))
+    return bar, _strictness(res, pts, window.radius)
 
 
 def system_extremal_residual(system, params_per_k, w_value: float, w_grad, w_hess, x) -> float:

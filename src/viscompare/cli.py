@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -40,11 +41,13 @@ from .hamiltonians import (
     estimate_delta,
 )
 from .operators import (
+    DriftDiffusionOperator,
     check_A1_A3,
     check_degenerate_ellipticity,
     check_F1_standard_form,
     check_F3_F4_growth,
 )
+from .residual import verify_solution
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -84,39 +87,41 @@ def _parse_field(parser, spec, dim, what):
         raise ScenarioError(f"field {what!r}: {exc}") from exc
 
 
+def _builder(name):
+    """The catalogue builder called `name` and its parameters, or (None, {})."""
+    builder = prob_mod.BUILTIN_PROBLEMS.get(name) if isinstance(name, str) else None
+    return builder, inspect.signature(builder).parameters if builder else {}
+
+
+def _build_builtin(spec: dict) -> prob_mod.ProblemSpec:
+    """Call the catalogue builder with the scenario values it takes.  lambda
+    is parsed even for ex2, which fixes it; an absent value takes the
+    builder's default (eq13: f = 0), else lambda 1, N 1, q 2, t -1, f = 0."""
+    builder, takes = _builder(spec["builtin"])
+    if builder is None:
+        raise ScenarioError(f"unknown builtin problem {spec['builtin']!r}")
+    N = int(spec.get("N", 1)) if "N" in takes else 1
+    args = {"lam": float(spec.get("lambda", 1.0)), "N": N}
+    parsers = {"sigma": parse_matrix_field, "b": parse_vector_field,
+               "A": parse_matrix_field, "f": parse_scalar_field}
+    for key, parser in parsers.items():
+        param = takes.get(key)
+        if param is None or (key not in spec and param.default is not param.empty):
+            continue
+        if key not in spec and key != "f":
+            raise ScenarioError(f"problem spec missing field {key!r}")
+        args[key] = _parse_field(parser, spec.get(key, 0.0), N, key)
+    for key, default in (("q", 2.0), ("t", -1.0)):
+        if key in takes:
+            args[key] = float(spec.get(key, default))
+    return builder(**{k: v for k, v in args.items() if k in takes})
+
+
 def build_problem(spec: dict) -> prob_mod.ProblemSpec:
     if not isinstance(spec, dict):
         raise ScenarioError("problem spec must be an object")
     if "builtin" in spec:
-        name = spec["builtin"]
-        lam = float(spec.get("lambda", 1.0))
-        if name == "eq12":
-            return prob_mod.eq12(lam)
-        if name == "eq13":
-            N = int(spec.get("N", 1))
-            f = _parse_field(parse_scalar_field, spec["f"], N, "f") if "f" in spec else None
-            return prob_mod.eq13(lam, float(spec.get("q", 2.0)), f, N)
-        if name == "hje3":
-            return prob_mod.hje3(lam, float(spec.get("t", -1.0)))
-        if name == "ex2":
-            return prob_mod.ex2()
-        if name == "signswitch":
-            return prob_mod.signswitch(lam)
-        if name == "minconvex":
-            return prob_mod.minconvex_problem(lam)
-        if name == "game":
-            return prob_mod.game_problem(lam)
-        if name == "example1":
-            N = int(spec.get("N", 1))
-            return prob_mod.example1(
-                sigma=_parse_field(parse_matrix_field, spec["sigma"], N, "sigma"),
-                b=_parse_field(parse_vector_field, spec["b"], N, "b"),
-                A=_parse_field(parse_matrix_field, spec["A"], N, "A"),
-                q=float(spec.get("q", 2.0)),
-                f=_parse_field(parse_scalar_field, spec.get("f", 0.0), N, "f"),
-                N=N, lam=lam,
-            )
-        raise ScenarioError(f"unknown builtin problem {name!r}")
+        return _build_builtin(spec)
     try:
         N = int(spec["N"])
         lam = float(spec["lambda"])
@@ -136,8 +141,6 @@ def build_problem(spec: dict) -> prob_mod.ProblemSpec:
             ham = SignedScalarHamiltonian(a=_parse_field(parse_scalar_field, ham_spec["a"], N, "a"), q=q)
         else:
             raise ScenarioError(f"unknown hamiltonian type {kind!r} in custom problem")
-    from .operators import DriftDiffusionOperator
-
     op = DriftDiffusionOperator(sigma=sigma, b=b, N=N)
     return prob_mod.ProblemSpec(N=N, lam=lam, operator=op, hamiltonian=ham, q=q,
                                 f=f, C0=spec.get("C0"), name=spec.get("id", "custom"))
@@ -164,6 +167,17 @@ def parse_grid(scn: dict, h_flag: float | None):
     return box, h
 
 
+def closed_forms(spec: dict, lam: float = 1.0):
+    """(problem, closed-form solutions) of the scenario's non-uniqueness
+    example; any other problem is a parse error.  t is read only for hje3."""
+    name = spec.get("builtin")
+    t = float(spec.get("t", -1.0)) if "t" in _builder(name)[1] else -1.0
+    try:
+        return prob_mod.closed_forms(name, lam, t)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
+
+
 def parse_boundary(spec, problem, scn):
     if spec is None:
         return 0.0
@@ -174,17 +188,7 @@ def parse_boundary(spec, problem, scn):
     if "field" in spec:
         return parse_scalar_field(spec["field"], problem.N)
     if "trace" in spec:
-        name = scn["problem"].get("builtin")
-        lam = problem.lam
-        if name == "eq12":
-            cands = prob_mod.eq12_solutions(lam)
-        elif name == "hje3":
-            cands = prob_mod.hje3_solutions(lam, float(scn["problem"].get("t", -1.0)))
-        elif name == "ex2":
-            cands = prob_mod.ex2_solutions()
-        else:
-            raise ScenarioError(f"no closed-form traces for builtin {name!r}")
-        by_label = {c.label: c for c in cands}
+        by_label = {c.label: c for c in closed_forms(scn["problem"], problem.lam)[1]}
         try:
             cand = by_label[spec["trace"]]
         except KeyError:
@@ -283,7 +287,8 @@ def check_hypotheses(problem_or_system, window_radii=None) -> dict:
     f_rep = growth_mod.classify_growth(problem.f_at, problem.q_prime, radii=radii,
                                        tol=0.02, dim=problem.N)
     growth_rep = check_F3_F4_growth(problem.extremal, "strict", radii=radii, dim=problem.N)
-    growth_rel = check_F3_F4_growth(problem.extremal, "relaxed", radii=radii, dim=problem.N)
+    # the relaxed mode only changes the pass rule on the same two reports
+    relaxed_ok = growth_rep.sigma0_report.in_SG and growth_rep.b0_report.in_SG
     checks["degenerate_ellipticity"] = check_degenerate_ellipticity(problem.operator).passed
     if not checks["degenerate_ellipticity"]:
         raise PredicateFailure("degenerate ellipticity")
@@ -291,12 +296,12 @@ def check_hypotheses(problem_or_system, window_radii=None) -> dict:
     checks["f_in_S_qprime_plus"] = f_rep.in_S_plus
     checks["f_in_SG_qprime_plus"] = f_rep.in_SG_plus
     checks["coeffs_strict_S1"] = growth_rep.passed
-    checks["coeffs_relaxed_SG1"] = growth_rel.passed
+    checks["coeffs_relaxed_SG1"] = relaxed_ok
 
     if ham is None:
         if growth_rep.passed and f_rep.in_S_plus:
             return {"verdict": "Proposition 3.3 applies", "checks": checks}
-        if growth_rel.passed and f_rep.in_SG_plus:
+        if relaxed_ok and f_rep.in_SG_plus:
             return {"verdict": "Proposition 3.4 applies (lambda large)", "checks": checks}
         raise PredicateFailure("f not estimated in SG_{q'}^+ on the window", checks)
 
@@ -365,7 +370,7 @@ def check_hypotheses(problem_or_system, window_radii=None) -> dict:
         raise PredicateFailure("(H2) strict positivity/boundedness", checks)
     if growth_rep.passed and f_rep.in_S_plus:
         return {"verdict": "Theorem 3.1 applies", "checks": checks}
-    if growth_rel.passed and f_rep.in_SG_plus:
+    if relaxed_ok and f_rep.in_SG_plus:
         return {"verdict": "Theorem 3.2 applies (lambda >= lambda0)", "checks": checks}
     raise PredicateFailure("f not estimated in SG_{q'}^+ on the window", checks)
 
@@ -387,10 +392,7 @@ def cmd_classify_growth(scn, args, outdir):
     radii = scn.get("window")
     f_rep = growth_mod.classify_growth(problem.f_at, problem.q_prime,
                                        radii=radii, dim=problem.N)
-    s_rep = growth_mod.classify_growth(lambda x: problem.extremal.sigma0_norm(x), 1.0,
-                                       radii=radii, dim=problem.N, tol=0.02)
-    b_rep = growth_mod.classify_growth(lambda x: problem.b0_at(x), 1.0,
-                                       radii=radii, dim=problem.N, tol=0.02)
+    coeffs = check_F3_F4_growth(problem.extremal, radii=radii, dim=problem.N)
 
     def g(rep):
         return {
@@ -403,8 +405,8 @@ def cmd_classify_growth(scn, args, outdir):
     write_report(outdir, {
         "id": scn.get("id", ""),
         "f_order_qprime": g(f_rep),
-        "sigma0_order_1": g(s_rep),
-        "b0_order_1": g(b_rep),
+        "sigma0_order_1": g(coeffs.sigma0_report),
+        "b0_order_1": g(coeffs.b0_report),
     })
     return EXIT_OK, []
 
@@ -428,12 +430,8 @@ def cmd_barrier(scn, args, outdir):
             if not rep.passed:
                 raise PredicateFailure("barrier strictness (min grid residual > 0)", entry)
             if not csvs:
-                pts = barrier_mod.window_points(window, problem.N)
-                vals = []
-                for x in pts:
-                    v, g_, h_ = barrier_mod.eval_barrier(params, x)
-                    vals.append(barrier_mod.extremal_residual(problem, params, v, g_, h_, x))
-                csvs.append(("residual_barrier.csv", pts, np.asarray(vals)))
+                csvs.append(("residual_barrier.csv",
+                             barrier_mod.window_points(window, problem.N), rep.residuals))
         except barrier_mod.BarrierPreconditionError as exc:
             lrep = barrier_mod.lambda0_for_SG(problem, mu, window)
             entry["mode"] = "relaxed"
@@ -448,26 +446,15 @@ def cmd_barrier(scn, args, outdir):
 
 def cmd_verify_classical(scn, args, outdir):
     problem = build_problem(scn["problem"])
-    name = scn["problem"].get("builtin")
-    if name == "eq12":
-        cands = prob_mod.eq12_solutions(problem.lam)
-    elif name == "hje3":
-        cands = prob_mod.hje3_solutions(problem.lam, float(scn["problem"].get("t", -1.0)))
-    elif name == "ex2":
-        cands = prob_mod.ex2_solutions()
-    else:
-        raise ScenarioError(f"no closed-form solutions catalogued for {name!r}")
-    from .residual import pde_residual, verify_solution
-
-    grid = np.linspace(-10.0, 10.0, 801)
+    cands = closed_forms(scn["problem"], problem.lam)[1]
+    grid = np.linspace(-10.0, 10.0, 801).reshape(-1, 1)
     entries, csvs = [], []
     worst = 0.0
     for cand in cands:
         rep = verify_solution(problem, cand, grid)
         worst = max(worst, rep.max_abs_residual)
         entries.append({"label": cand.label, **rep.to_json_dict()})
-        res = np.array([pde_residual(problem, cand, x) for x in grid])
-        csvs.append((f"residual_{cand.label}.csv", grid.reshape(-1, 1), res))
+        csvs.append((f"residual_{cand.label}.csv", grid, rep.residuals))
         if rep.sign_classification != "solution":
             raise PredicateFailure(
                 f"classical certification of {cand.label} (classified {rep.sign_classification})",
@@ -523,12 +510,10 @@ def cmd_gamma_pin(scn, args, outdir):
 
 
 def cmd_nonuniqueness(scn, args, outdir):
-    name = scn["problem"].get("builtin")
-    if name not in ("eq12", "hje3", "ex2"):
-        raise ScenarioError(f"nonuniqueness demo needs builtin eq12/hje3/ex2, got {name!r}")
+    closed_forms(scn["problem"])  # refuse other problems before reading the grid
     box, h = parse_grid(scn, args.h)
     rep = solver_mod.nonuniqueness_demo(
-        name, box, h,
+        scn["problem"]["builtin"], box, h,
         lam=float(scn["problem"].get("lambda", 1.0)),
         t=float(scn["problem"].get("t", -1.0)),
     )

@@ -23,6 +23,15 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
     return p
 
 
+def as_points(grid, dim: int = 1) -> np.ndarray:
+    """Coerce a point set to shape (M, dim); a flat array is M points in
+    1-d and a single point otherwise."""
+    pts = np.atleast_1d(np.asarray(grid, dtype=float))
+    if pts.ndim == 1:
+        pts = pts.reshape(-1, 1) if dim == 1 else pts.reshape(1, -1)
+    return pts
+
+
 @dataclass(frozen=True)
 class Polynomial:
     """Multivariate polynomial stored as ((powers, coeff), ...)."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import as_point
+from .fields import as_point, as_points
 
 
 class HamiltonianDomainError(ValueError):
@@ -430,21 +430,42 @@ def check_H2_bounds(H, delta, C0: float, samples, tol: float = 1e-9) -> CheckRep
     return CheckReport("H2 bounds", worst >= -tol, worst, witness)
 
 
-def check_H3_homogeneity(H, samples, thetas, tol: float = 1e-12) -> CheckReport:
-    """Sample H(x, theta xi) = theta^q H(x, xi); scale-aware deviation."""
-    q = H.q
+def sampled_homogeneity(name: str, evaluate, cases, thetas, power: float,
+                        tol: float) -> CheckReport:
+    """Sample evaluate(case, theta) = theta^power evaluate(case, 1) with a
+    scale-aware deviation; the witness is (*case, theta)."""
     worst, witness = 0.0, None
-    for x, xi in samples:
-        xi = as_point(xi)
-        base = float(H(x, xi))
+    for case in cases:
+        base = evaluate(case, 1.0)
         for theta in thetas:
             if theta < 0:
                 raise ValueError(f"theta must be >= 0, got {theta}")
-            target = theta**q * base
-            dev = abs(float(H(x, theta * xi)) - target) / max(1.0, abs(target))
+            target = theta**power * base
+            dev = abs(evaluate(case, theta) - target) / max(1.0, abs(target))
             if dev > worst:
-                worst, witness = dev, (np.asarray(x), xi, theta)
-    return CheckReport("H3 homogeneity", worst <= tol, worst, witness)
+                worst, witness = dev, (*case, theta)
+    return CheckReport(name, worst <= tol, worst, witness)
+
+
+def check_H3_homogeneity(H, samples, thetas, tol: float = 1e-12) -> CheckReport:
+    """Sample H(x, theta xi) = theta^q H(x, xi); scale-aware deviation."""
+    cases = [(x, as_point(xi)) for x, xi in samples]
+    return sampled_homogeneity("H3 homogeneity", lambda c, t: float(H(c[0], t * c[1])),
+                               cases, thetas, H.q, tol)
+
+
+def binned_max(dists, values, bins: int):
+    """Split [0, max dist] into equal bins (the first closed at 0) and take
+    the largest value in each; nan marks an empty bin.  Returns (edges,
+    table)."""
+    dists, values = np.asarray(dists), np.asarray(values)
+    edges = np.linspace(0.0, max(dists.max(), 1e-300), bins + 1)
+    table = np.full(bins, np.nan)
+    for i in range(bins):
+        mask = (dists > edges[i]) & (dists <= edges[i + 1]) if i else (dists <= edges[1])
+        if mask.any():
+            table[i] = values[mask].max()
+    return edges, table
 
 
 def check_H4_modulus(H, R: float, pair_samples, bins: int = 8, tol: float = 1e-9) -> ModulusReport:
@@ -465,14 +486,7 @@ def check_H4_modulus(H, R: float, pair_samples, bins: int = 8, tol: float = 1e-9
             raise ValueError("xi samples must be nonzero")
         dists.append(float(np.linalg.norm(x - y)))
         ratios.append(abs(float(H(x, xi)) - float(H(y, xi))) / n**q)
-    dists, ratios = np.asarray(dists), np.asarray(ratios)
-    top = max(dists.max(), 1e-300)
-    edges = np.linspace(0.0, top, bins + 1)
-    values = np.full(bins, np.nan)
-    for i in range(bins):
-        mask = (dists > edges[i]) & (dists <= edges[i + 1]) if i else (dists <= edges[1])
-        if mask.any():
-            values[i] = ratios[mask].max()
+    edges, values = binned_max(dists, ratios, bins)
     filled = [v for v in values if not np.isnan(v)]
     monotone = all(a <= b + tol for a, b in zip(filled, filled[1:]))
     decays = (not filled) or filled[0] <= 0.5 * filled[-1] + tol
@@ -535,10 +549,11 @@ def check_H2prime(game: GameHamiltonian, delta, C0: float, x_samples, tol: float
 
 
 def compute_gamma(signed: SignedScalarHamiltonian, grid, tol: float | None = None) -> GammaPartition:
-    """Partition grid points by the sign of a(x); |a| <= tol goes to Gamma."""
-    pts = np.atleast_2d(np.asarray(grid, dtype=float))
-    if pts.shape[0] == 1 and pts.shape[1] > 1:
-        pts = pts.T
+    """Partition grid points by the sign of a(x); |a| <= tol goes to Gamma.
+
+    grid is an (M, N) point array, or a flat array of 1-d points.
+    """
+    pts = as_points(grid)
     if pts.size == 0:
         raise ValueError("grid must be nonempty")
     avals = np.array([float(_coeff(signed.a, p)) for p in pts])
@@ -559,11 +574,10 @@ def check_A4(H, gamma_points, r: float, C1_candidate: float,
 
     Reports the smallest feasible C1 found on the samples; fails when it
     exceeds the candidate (e.g. when |H| decays slower than |x-x0|^q).
+    gamma_points is shaped like compute_gamma's grid.
     """
     q = H.q
-    pts = np.atleast_2d(np.asarray(gamma_points, dtype=float))
-    if pts.shape[0] == 1 and pts.shape[1] > 1:
-        pts = pts.T
+    pts = as_points(gamma_points)
     from .growth import shell_directions
 
     dirs = shell_directions(pts.shape[1], 16)

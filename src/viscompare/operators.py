@@ -16,17 +16,12 @@ import numpy as np
 
 from . import growth
 from .fields import as_point
-from .hamiltonians import CheckReport, ModulusReport
+from .hamiltonians import CheckReport, ModulusReport, binned_max, sampled_homogeneity
 
 
-def _matrix(valuer, x) -> np.ndarray:
-    M = valuer(x) if callable(valuer) else valuer
-    return np.atleast_2d(np.asarray(M, dtype=float))
-
-
-def _vector(valuer, x) -> np.ndarray:
-    v = valuer(x) if callable(valuer) else valuer
-    return np.atleast_1d(np.asarray(v, dtype=float))
+def _coeff_array(valuer, x, ndmin: int) -> np.ndarray:
+    """A constant or callable coefficient at x, as a float array of ndmin dims."""
+    return np.array(valuer(x) if callable(valuer) else valuer, dtype=float, ndmin=ndmin)
 
 
 def spectral_norm(M: np.ndarray) -> float:
@@ -48,10 +43,10 @@ class DriftDiffusionOperator:
     N: int
 
     def sigma_at(self, x) -> np.ndarray:
-        return _matrix(self.sigma, as_point(x, self.N))
+        return _coeff_array(self.sigma, as_point(x, self.N), 2)
 
     def b_at(self, x) -> np.ndarray:
-        return _vector(self.b, as_point(x, self.N))
+        return _coeff_array(self.b, as_point(x, self.N), 1)
 
     def diffusion(self, x) -> np.ndarray:
         s = self.sigma_at(x)
@@ -74,7 +69,7 @@ class ExtremalOperator:
     N: int
 
     def sigma0_at(self, x) -> np.ndarray:
-        return _matrix(self.sigma0, as_point(x, self.N))
+        return _coeff_array(self.sigma0, as_point(x, self.N), 2)
 
     def sigma0_norm(self, x) -> float:
         return spectral_norm(self.sigma0_at(x))
@@ -107,19 +102,10 @@ def check_F2_homogeneity(F, samples, thetas, tol: float = 1e-12) -> CheckReport:
     This is the only sampling check available for general (non-model-form)
     operators; all other F-hypotheses need the drift-diffusion structure.
     """
-    worst, witness = 0.0, None
-    for x, xi, X in samples:
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        base = float(F(x, xi, X))
-        for theta in thetas:
-            if theta < 0:
-                raise ValueError(f"theta must be >= 0, got {theta}")
-            target = theta * base
-            dev = abs(float(F(x, theta * xi, theta * X)) - target) / max(1.0, abs(target))
-            if dev > worst:
-                worst, witness = dev, (np.asarray(x), theta)
-    return CheckReport("F2 homogeneity", worst <= tol, worst, witness)
+    cases = [(x, np.atleast_1d(np.asarray(xi, dtype=float)), np.atleast_2d(np.asarray(X, dtype=float)))
+             for x, xi, X in samples]
+    return sampled_homogeneity("F2 homogeneity", lambda c, t: float(F(c[0], t * c[1], t * c[2])),
+                               cases, thetas, 1, tol)
 
 
 def check_degenerate_ellipticity(op: DriftDiffusionOperator, samples=None,
@@ -269,14 +255,7 @@ def check_F1_standard_form(op: DriftDiffusionOperator, R: float, pair_samples=No
         gap = op(y, p, Y) - op(x, p, X)
         dists.append(d)
         normalized.append(max(gap, 0.0) / (d + d**2 / eps))
-    dists, normalized = np.asarray(dists), np.asarray(normalized)
-    top = max(dists.max(), 1e-300)
-    edges = np.linspace(0.0, top, bins + 1)
-    values = np.full(bins, np.nan)
-    for i in range(bins):
-        mask = (dists > edges[i]) & (dists <= edges[i + 1]) if i else (dists <= edges[1])
-        if mask.any():
-            values[i] = normalized[mask].max()
+    edges, values = binned_max(dists, normalized, bins)
     filled = [v for v in values if not np.isnan(v)]
     passed = all(v <= c_est * 1.1 + tol for v in filled)
     return ModulusReport(

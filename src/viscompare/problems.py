@@ -5,7 +5,7 @@ the drift-diffusion operator, the Hamiltonian (possibly absent), the
 superlinear exponent q, the right-hand side, and the extremal data
 (canonically sigma0 = sigma, b0 = |b|).  The builders below reproduce the
 closed-form uniqueness/non-uniqueness examples together with their exact
-solutions.
+solutions; BUILTIN_PROBLEMS and closed_forms are the only catalogue of them.
 """
 
 from __future__ import annotations
@@ -76,10 +76,6 @@ class ProblemSpec:
         return dataclasses.replace(self, f=f)
 
 
-def _const_matrix(N: int, scale: float = 1.0) -> np.ndarray:
-    return scale * np.eye(N)
-
-
 def _zero_field(x) -> float:
     return 0.0
 
@@ -88,14 +84,18 @@ def _zero_field(x) -> float:
 # built-in problems
 
 
-def eq12(lam: float = 1.0) -> ProblemSpec:
-    """1-d: lam*u - u'' + |u'|^2 = 0; two classical solutions."""
-    op = DriftDiffusionOperator(sigma=np.eye(1), b=np.zeros(1), N=1)
+def _quadratic_1d(name: str, op: DriftDiffusionOperator, lam: float) -> ProblemSpec:
+    """1-d instance with H = |xi|^2, f = 0 and C0 = 1."""
     return ProblemSpec(
         N=1, lam=lam, operator=op,
         hamiltonian=PowerHamiltonian(A=np.eye(1), q=2.0),
-        q=2.0, f=_zero_field, C0=1.0, name="eq12",
+        q=2.0, f=_zero_field, C0=1.0, name=name,
     )
+
+
+def eq12(lam: float = 1.0) -> ProblemSpec:
+    """1-d: lam*u - u'' + |u'|^2 = 0; two classical solutions."""
+    return _quadratic_1d("eq12", DriftDiffusionOperator(sigma=np.eye(1), b=np.zeros(1), N=1), lam)
 
 
 def eq13(lam: float = 1.0, q: float = 2.0, f=None, N: int = 1) -> ProblemSpec:
@@ -111,11 +111,7 @@ def eq13(lam: float = 1.0, q: float = 2.0, f=None, N: int = 1) -> ProblemSpec:
 def hje3(lam: float = 1.0, t: float = -1.0) -> ProblemSpec:
     """1-d: lam*u - u'' + |u'|^2 + t*x*u' = 0; drift grows linearly."""
     op = DriftDiffusionOperator(sigma=np.eye(1), b=lambda x: t * as_point(x), N=1)
-    return ProblemSpec(
-        N=1, lam=lam, operator=op,
-        hamiltonian=PowerHamiltonian(A=np.eye(1), q=2.0),
-        q=2.0, f=_zero_field, C0=1.0, name="hje3",
-    )
+    return _quadratic_1d("hje3", op, lam)
 
 
 def ex2() -> ProblemSpec:
@@ -124,11 +120,7 @@ def ex2() -> ProblemSpec:
         sigma=lambda x: np.array([[math.sqrt(1.0 + float(as_point(x)[0]) ** 2)]]),
         b=np.zeros(1), N=1,
     )
-    return ProblemSpec(
-        N=1, lam=1.0, operator=op,
-        hamiltonian=PowerHamiltonian(A=np.eye(1), q=2.0),
-        q=2.0, f=_zero_field, C0=1.0, name="ex2",
-    )
+    return _quadratic_1d("ex2", op, 1.0)
 
 
 def example1(sigma, b, A, q: float, f, N: int, lam: float = 1.0) -> ProblemSpec:
@@ -219,6 +211,23 @@ def hje3_solutions(lam: float = 1.0, t: float = -1.0):
 def ex2_solutions():
     """v1 = 0 and v2 = 1/2 + x^2/4."""
     return zero_candidate(1, "v1"), quadratic_candidate(0.25, 0.5, "v2")
+
+
+# the non-uniqueness examples: name -> (lam, t) -> (problem, solutions)
+_CLOSED_FORMS = {
+    "eq12": lambda lam, t: (eq12(lam), eq12_solutions(lam)),
+    "hje3": lambda lam, t: (hje3(lam, t), hje3_solutions(lam, t)),
+    "ex2": lambda lam, t: (ex2(), ex2_solutions()),
+}
+
+
+def closed_forms(name: str, lam: float = 1.0, t: float = -1.0):
+    """(problem, closed-form solutions) of a non-uniqueness example; ex2
+    fixes lam = 1 and only hje3 reads t."""
+    build = _CLOSED_FORMS.get(name) if isinstance(name, str) else None
+    if build is None:
+        raise ValueError(f"no closed-form solutions catalogued for {name!r}")
+    return build(lam, t)
 
 
 BUILTIN_PROBLEMS = {

@@ -10,11 +10,11 @@ this certifies the closed-form (non)uniqueness examples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import Polynomial, as_point
+from .fields import Polynomial, as_point, as_points
 
 _FD_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
@@ -113,6 +113,8 @@ class ResidualReport:
     min_residual: float
     max_residual: float
     grid_size: int
+    # the residual at every grid point, in grid order; not part of the report
+    residuals: np.ndarray = field(default=None, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -126,28 +128,26 @@ class ResidualReport:
         }
 
 
-def pde_residual(problem, candidate: SmoothCandidate, x) -> float:
-    """lambda u(x) + F(x, Du, D^2u) + H(x, Du) - f(x)."""
+def manufactured_rhs(problem, u_star: SmoothCandidate, x) -> float:
+    """Right-hand side making u_star an exact solution:
+    f := lam u* + F(x, Du*, D^2u*) + H(x, Du*)."""
     x = as_point(x, problem.N)
-    g = candidate.grad(x)
+    g = u_star.grad(x)
     return (
-        problem.lam * candidate.val(x)
-        + problem.operator(x, g, candidate.hess(x))
+        problem.lam * u_star.val(x)
+        + problem.operator(x, g, u_star.hess(x))
         + problem.Hval(x, g)
-        - problem.f_at(x)
     )
 
 
-def _as_grid(grid, dim: int) -> np.ndarray:
-    pts = np.asarray(grid, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1) if dim == 1 else pts.reshape(1, -1)
-    return pts
+def pde_residual(problem, candidate: SmoothCandidate, x) -> float:
+    """lambda u(x) + F(x, Du, D^2u) + H(x, Du) - f(x)."""
+    return manufactured_rhs(problem, candidate, x) - problem.f_at(x)
 
 
 def verify_solution(problem, candidate: SmoothCandidate, grid, tol: float | None = None) -> ResidualReport:
     """Max grid residual plus sign classification with a scale-aware tol."""
-    pts = _as_grid(grid, problem.N)
+    pts = as_points(grid, problem.N)
     if pts.size == 0:
         raise ValueError("grid must be nonempty")
     if candidate.uses_fd:
@@ -175,6 +175,7 @@ def verify_solution(problem, candidate: SmoothCandidate, grid, tol: float | None
         min_residual=float(res.min()),
         max_residual=float(res.max()),
         grid_size=len(pts),
+        residuals=res,
     )
 
 

@@ -33,17 +33,19 @@ non-uniqueness story at desk scale.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import growth as growth_mod
-from .fields import as_point
-from .hamiltonians import GameHamiltonian, check_A4, compute_gamma, on_grid
+from .hamiltonians import check_A4, compute_gamma, on_grid
 from .operators import check_A1_A3
-from .residual import SmoothCandidate, verify_solution
+from .problems import closed_forms
+from .residual import manufactured_rhs, verify_solution  # noqa: F401  (re-exported)
+
+MAX_ITERS = 200  # Newton / Howard iteration cap per solve
 
 
 class MonotonicityError(ValueError):
@@ -74,6 +76,14 @@ class Box:
         return len(self.center)
 
 
+def _mesh_points(axes) -> np.ndarray:
+    """Tensor-grid nodes, shape (n, N), the last axis varying fastest."""
+    if len(axes) == 1:
+        return axes[0].reshape(-1, 1)
+    X0, X1 = np.meshgrid(axes[0], axes[1], indexing="ij")
+    return np.column_stack([X0.ravel(), X1.ravel()])
+
+
 @dataclass
 class DiscreteField:
     """Grid function on the box with Dirichlet boundary values baked in."""
@@ -81,7 +91,6 @@ class DiscreteField:
     axes: tuple          # per-axis node coordinates
     values: np.ndarray   # shape (n0,) or (n0, n1)
     h: tuple             # realized spacings
-    boundary_mode: str = "explicit"
 
     def __post_init__(self):
         for ax in self.axes:
@@ -91,25 +100,17 @@ class DiscreteField:
             raise ValueError("field values must be finite")
 
     def points(self) -> np.ndarray:
-        if len(self.axes) == 1:
-            return self.axes[0].reshape(-1, 1)
-        X0, X1 = np.meshgrid(self.axes[0], self.axes[1], indexing="ij")
-        return np.column_stack([X0.ravel(), X1.ravel()])
-
-    def center_value(self) -> float:
-        idx = tuple(len(ax) // 2 for ax in self.axes)
-        return float(self.values[idx])
+        return _mesh_points(self.axes)
 
 
 @dataclass
 class SchemeConfig:
-    """Iteration knobs; None means auto (damping 1.0 linear / policy, 0.5 superlinear)."""
+    """Iteration knobs; damping None means 1.0 without a gradient term and
+    0.5 with one."""
 
     lf_dissipation: object = None  # None = auto-tune; scalar or per-axis sequence
     damping: float | None = None
-    max_iters: int = 200
     tol_residual: float = 1e-9
-    policy_iteration: bool = False
 
 
 @dataclass
@@ -156,12 +157,7 @@ class DiscreteOperator:
         self.shape = tuple(len(ax) for ax in axes)
         self.int_shape = tuple(n - 2 for n in self.shape)
         self.n_interior = int(np.prod(self.int_shape))
-
-        if problem.N == 1:
-            self.points_int = self.axes[0][1:-1].reshape(-1, 1)
-        else:
-            X0, X1 = np.meshgrid(self.axes[0][1:-1], self.axes[1][1:-1], indexing="ij")
-            self.points_int = np.column_stack([X0.ravel(), X1.ravel()])
+        self.points_int = _mesh_points([ax[1:-1] for ax in self.axes])
 
         # diffusion restricted to (near-)diagonal sigma sigma^T in 2-d:
         # cross-derivative monotone stencils are out of scope
@@ -228,21 +224,21 @@ class DiscreteOperator:
         central gradients, per node and axis."""
         return 1.2 * np.abs(self.hamiltonian.slopes(self.central_gradient(u)))
 
-    def linear_residual(self, u: np.ndarray, f_int: np.ndarray) -> np.ndarray:
-        """Residual of the gradient-term-free part only (warm-start system)."""
+    def _linear_part(self, u: np.ndarray) -> np.ndarray:
+        """lam u - diffusion + upwind drift on the interior."""
         val = self.problem.lam * self._interior(u).ravel()
         for ax in range(self.problem.N):
             val -= self.D[ax] * self.second_difference(u, ax)
-        val += self.upwind_drift(u)
-        return f_int - val
+        return val + self.upwind_drift(u)
+
+    def linear_residual(self, u: np.ndarray, f_int: np.ndarray) -> np.ndarray:
+        """Residual of the gradient-term-free part only (warm-start system)."""
+        return f_int - self._linear_part(u)
 
     def residual(self, u: np.ndarray, f_int: np.ndarray, lf) -> np.ndarray:
         """f - S(u) on the interior (Newton right-hand side)."""
         lf = self.lf_field(lf)
-        val = self.problem.lam * self._interior(u).ravel()
-        for ax in range(self.problem.N):
-            val -= self.D[ax] * self.second_difference(u, ax)
-        val += self.upwind_drift(u)
+        val = self._linear_part(u)
         grads = self.central_gradient(u)
         val += self.hamiltonian.values(grads)
         for ax in range(self.problem.N):
@@ -289,23 +285,13 @@ class DiscreteOperator:
         return A, monotone
 
 
-def discretize(problem, box: Box, h: float) -> DiscreteOperator:
-    """Build the node-wise update rule; rejects non-diagonal 2-d diffusion."""
-    return DiscreteOperator(problem, box, h)
-
-
 def _boundary_values(disc: DiscreteOperator, boundary) -> np.ndarray:
     fn = boundary if callable(boundary) else (lambda x, v=float(boundary): v)
     u = np.zeros(disc.shape)
-    if disc.problem.N == 1:
-        u[0] = fn(disc.axes[0][:1])
-        u[-1] = fn(disc.axes[0][-1:])
-    else:
-        n0, n1 = disc.shape
-        for i in range(n0):
-            for j in range(n1):
-                if i in (0, n0 - 1) or j in (0, n1 - 1):
-                    u[i, j] = fn(np.array([disc.axes[0][i], disc.axes[1][j]]))
+    on_boundary = np.ones(disc.shape, dtype=bool)
+    on_boundary[tuple(slice(1, -1) for _ in disc.shape)] = False
+    for idx in zip(*np.nonzero(on_boundary)):
+        u[idx] = fn(np.array([ax[i] for ax, i in zip(disc.axes, idx)]))
     return u
 
 
@@ -324,18 +310,18 @@ def _field_on_interior(disc: DiscreteOperator, f) -> np.ndarray:
 
 
 def solve(problem, box: Box, h: float, boundary, config: SchemeConfig | None = None,
-          f_values=None, boundary_mode: str | None = None):
+          f_values=None):
     """Damped Newton / Howard iteration on the monotone scheme.
 
-    boundary: callable x -> value or a constant; boundary_mode tags the
-    data's provenance ("explicit function", "barrier-growth cap",
-    "candidate-solution trace").  f_values optionally overrides the problem
-    right-hand side (callable or grid array).  Returns
-    (DiscreteField, SolveReport); raises MonotonicityError when a
-    user-fixed lf is below the required slope bound.
+    boundary: callable x -> value or a constant.  f_values optionally
+    overrides the problem right-hand side (callable or grid array).  Stops
+    once the max-norm residual is at most config.tol_residual, or after
+    MAX_ITERS iterations.  Returns (DiscreteField, SolveReport); raises
+    MonotonicityError when a user-fixed lf is below the required slope
+    bound.
     """
     config = config or SchemeConfig()
-    disc = discretize(problem, box, h)
+    disc = DiscreteOperator(problem, box, h)
     t0 = time.perf_counter()
 
     f_int = _field_on_interior(disc, f_values)
@@ -348,13 +334,10 @@ def solve(problem, box: Box, h: float, boundary, config: SchemeConfig | None = N
     A0, _ = disc.assemble(zero_slopes, zero_slopes)
     u[sl] += spla.spsolve(A0, disc.linear_residual(u, f_int)).reshape(disc.int_shape)
 
-    superlinear = problem.hamiltonian is not None
     if config.damping is not None:
         damping = config.damping
-    elif not superlinear or (config.policy_iteration and isinstance(problem.hamiltonian, GameHamiltonian)):
-        damping = 1.0
     else:
-        damping = 0.5
+        damping = 1.0 if problem.hamiltonian is None else 0.5
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must lie in (0, 1], got {damping}")
 
@@ -370,7 +353,7 @@ def solve(problem, box: Box, h: float, boundary, config: SchemeConfig | None = N
     lf_report = np.zeros(problem.N)
     converged = False
     iterations = 0
-    for iterations in range(1, config.max_iters + 1):
+    for iterations in range(1, MAX_ITERS + 1):
         grads = disc.central_gradient(u)
         slopes = disc.hamiltonian.slopes(grads)
         abs_slopes = np.abs(slopes)
@@ -399,13 +382,7 @@ def solve(problem, box: Box, h: float, boundary, config: SchemeConfig | None = N
         delta = spla.spsolve(A, r)
         u[sl] += damping * delta.reshape(disc.int_shape)
 
-    field_out = DiscreteField(
-        axes=disc.axes,
-        values=u,
-        h=disc.h,
-        boundary_mode=boundary_mode
-        or ("explicit function" if callable(boundary) else "explicit constant"),
-    )
+    field_out = DiscreteField(axes=disc.axes, values=u, h=disc.h)
     report = SolveReport(
         iterations=iterations,
         final_residual_norm=history[-1] if history else 0.0,
@@ -450,7 +427,7 @@ def comparison_check(problem, box: Box, h: float, f_low, f_high,
     validated nodewise; a violation of the output ordering indicates a
     monotonicity breach and is reported with the witness node.
     """
-    disc = discretize(problem, box, h)
+    disc = DiscreteOperator(problem, box, h)
     fl = _field_on_interior(disc, f_low)
     fh = _field_on_interior(disc, f_high)
     if np.any(fl > fh + 1e-12):
@@ -582,26 +559,12 @@ def nonuniqueness_demo(example_id: str, box: Box, h: float, lam: float = 1.0,
     the closed forms shows exactly one branch lies in the uniqueness class
     (vanishing order-q' relative growth).
     """
-    from . import problems as prob_mod
-
-    if example_id == "eq12":
-        problem = prob_mod.eq12(lam)
-        cands = prob_mod.eq12_solutions(lam)
-    elif example_id == "hje3":
-        problem = prob_mod.hje3(lam, t)
-        cands = prob_mod.hje3_solutions(lam, t)
-    elif example_id == "ex2":
-        problem = prob_mod.ex2()
-        cands = prob_mod.ex2_solutions()
-    else:
-        raise ValueError(f"unknown non-uniqueness example {example_id!r}")
-
+    problem, cands = closed_forms(example_id, lam, t)
     branches = []
     solutions = []
     cert_grid = np.linspace(-10.0, 10.0, 801)
     for cand in cands:
-        sol, _ = solve(problem, box, h, lambda x, c=cand: c.val(x), config,
-                       boundary_mode="candidate-solution trace")
+        sol, _ = solve(problem, box, h, lambda x, c=cand: c.val(x), config)
         exact = np.array([cand.val(x) for x in sol.points()]).reshape(sol.values.shape)
         rep = verify_solution(problem, cand, cert_grid)
         grep = growth_mod.classify_growth(lambda x, c=cand: c.val(x), problem.q_prime,
@@ -621,14 +584,3 @@ def nonuniqueness_demo(example_id: str, box: Box, h: float, lam: float = 1.0,
         sup_distance_between=float(np.abs(solutions[0] - solutions[1]).max()),
     )
 
-
-def manufactured_rhs(problem, u_star: SmoothCandidate, x) -> float:
-    """Right-hand side making u_star an exact solution:
-    f := lam u* + F(x, Du*, D^2u*) + H(x, Du*)."""
-    x = as_point(x, problem.N)
-    g = u_star.grad(x)
-    return (
-        problem.lam * u_star.val(x)
-        + problem.operator(x, g, u_star.hess(x))
-        + problem.Hval(x, g)
-    )

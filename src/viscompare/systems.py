@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import as_point
-from .hamiltonians import CheckReport
+from .hamiltonians import CheckReport, PowerHamiltonian, sampled_homogeneity
 from .operators import DriftDiffusionOperator, ExtremalOperator, canonical_extremal
 from .problems import ProblemSpec
-from .solver import Box, SchemeConfig, solve
+from .solver import Box, DiscreteOperator, SchemeConfig, solve
 
 
 @dataclass(frozen=True)
@@ -114,33 +114,24 @@ def check_M(system: MonotoneSystem, r_s_samples, x_xi_X_samples=None,
 
 def check_F2prime(system: MonotoneSystem, samples, thetas, tol: float = 1e-12) -> CheckReport:
     """F(x, theta r, theta xi, theta X) = theta F(x, r, xi, X) componentwise."""
-    worst, witness = 0.0, None
-    for x, r, xi, X in samples:
-        r = np.asarray(r, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        X = np.asarray(X, dtype=float)
-        for theta in thetas:
-            if theta < 0:
-                raise ValueError(f"theta must be >= 0, got {theta}")
-            for k in range(system.m):
-                target = theta * system.F(k, x, r, xi, X)
-                dev = abs(system.F(k, x, theta * r, theta * xi, theta * X) - target)
-                dev /= max(1.0, abs(target))
-                if dev > worst:
-                    worst, witness = dev, (np.asarray(x), k, theta)
-    return CheckReport("F2' homogeneity", worst <= tol, worst, witness)
+    cases = [(k, x, *(np.asarray(v, dtype=float) for v in (r, xi, X)))
+             for x, r, xi, X in samples for k in range(system.m)]
+    return sampled_homogeneity(
+        "F2' homogeneity", lambda c, t: system.F(c[0], c[1], t * c[2], t * c[3], t * c[4]),
+        cases, thetas, 1, tol)
+
+
+def manufactured_system_rhs(system: MonotoneSystem, u_stars, k: int, x) -> float:
+    """f_k making (u*_1, ..., u*_m) an exact system solution."""
+    x = as_point(x, system.N)
+    r = np.array([c.val(x) for c in u_stars])
+    g = u_stars[k].grad(x)
+    return system.F(k, x, r, g, u_stars[k].hess(x)) + system.Hval(k, x, g)
 
 
 def system_residual(system: MonotoneSystem, candidates, k: int, x) -> float:
     """F_k(x, u(x), Du_k, D^2u_k) + H_k(x, Du_k) - f_k(x)."""
-    x = as_point(x, system.N)
-    r = np.array([c.val(x) for c in candidates])
-    g = candidates[k].grad(x)
-    return (
-        system.F(k, x, r, g, candidates[k].hess(x))
-        + system.Hval(k, x, g)
-        - system.f_at(k, x)
-    )
+    return manufactured_system_rhs(system, candidates, k, x) - system.f_at(k, x)
 
 
 def max_component_gap(system: MonotoneSystem, u_candidates, v_candidates,
@@ -184,12 +175,10 @@ def solve_system(system: MonotoneSystem, box: Box, h: float, boundary_per_k,
     the same LF scheme the inner solves used; sweeps stop once it is at the
     inner solves' own residual level.
     """
-    from .solver import discretize
-
     config = config or SchemeConfig()
     tol = config.tol_residual if tol is None else tol
     problems = [system.scalar_problem(k) for k in range(system.m)]
-    discs = [discretize(problems[k], box, h) for k in range(system.m)]
+    discs = [DiscreteOperator(problems[k], box, h) for k in range(system.m)]
     sl = tuple(slice(1, -1) for _ in discs[0].shape)
     f_int = [np.array([system.f_at(k, x) for x in discs[k].points_int])
              for k in range(system.m)]
@@ -243,14 +232,6 @@ def solve_system(system: MonotoneSystem, box: Box, h: float, boundary_per_k,
     return fields, report
 
 
-def manufactured_system_rhs(system: MonotoneSystem, u_stars, k: int, x) -> float:
-    """f_k making (u*_1, ..., u*_m) an exact system solution."""
-    x = as_point(x, system.N)
-    r = np.array([c.val(x) for c in u_stars])
-    g = u_stars[k].grad(x)
-    return system.F(k, x, r, g, u_stars[k].hess(x)) + system.Hval(k, x, g)
-
-
 def system2(coupling: str = "none", c: float = 0.5, lam: float = 1.0,
             f_list=None) -> MonotoneSystem:
     """Two quadratic-gradient components, optionally coupled.
@@ -258,8 +239,6 @@ def system2(coupling: str = "none", c: float = 0.5, lam: float = 1.0,
     coupling: "none" (decoupled copies), "mean" (c*(r_k - mean r), monotone),
     or "minus2lam" (-2 lam r_k, which breaks the monotonicity condition).
     """
-    from .hamiltonians import PowerHamiltonian
-
     def make_coupling(k):
         if coupling == "none":
             return None

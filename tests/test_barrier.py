@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -304,3 +306,39 @@ def test_system_extremal_min_selects_smaller_f():
     scalar_f1 = extremal_residual(eq13(1.0, 2.0).with_f(lambda x: 1.0), params,
                                   0.0, np.zeros(1), np.zeros((1, 1)), x)
     assert val == pytest.approx(scalar_f1, rel=1e-12)
+
+
+def test_nan_residual_fails_closed_at_first_nonfinite_node():
+    window = Window(radius=10.0, nodes=101)
+    grid = np.linspace(-10.0, 10.0, 101)
+    params = construct_barrier(eq13(1.0, 2.0), mu=0.9, window=window)
+    rep = verify_strict(eq13(1.0, 2.0).with_f(lambda x: float("nan")), params, grid)
+    assert not rep.passed
+    assert np.isnan(rep.min_residual)
+    assert rep.argmin[0] == -10.0
+    # NaN only right of 0.5: the report points at the first such node
+    nan_right = lambda x: float("nan") if x[0] > 0.5 else 0.0
+    rep = verify_strict(eq13(1.0, 2.0).with_f(nan_right), params, grid)
+    assert not rep.passed and np.isnan(rep.min_residual)
+    assert rep.argmin[0] == pytest.approx(0.6)
+
+    op = DriftDiffusionOperator(
+        sigma=np.eye(1), b=lambda x: np.array([float("nan") if x[0] > 0.5 else 0.0]), N=1)
+    linear = ProblemSpec(N=1, lam=1.0, operator=op, hamiltonian=None, q=2.0, f=0.0)
+    _, rep = linear_case_barrier(linear, window)
+    assert not rep.passed and np.isnan(rep.min_residual)
+    assert rep.argmin[0] == pytest.approx(0.6)
+
+
+def test_strictness_report_keeps_residuals_out_of_the_report():
+    window = Window(radius=10.0, nodes=101)
+    problem = eq13(1.0, 2.0)
+    params = construct_barrier(problem, mu=0.9, window=window)
+    pts = np.linspace(-10.0, 10.0, 101)
+    rep = verify_strict(problem, params, pts)
+    want = [extremal_residual(problem, params, *eval_barrier(params, x), x) for x in pts]
+    assert np.array_equal(rep.residuals, want)
+    assert rep.min_residual == min(want)
+    assert "residuals" not in rep.to_json_dict()
+    assert "residuals" not in repr(rep)
+    assert dataclasses.replace(rep, residuals=None) == rep

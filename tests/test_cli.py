@@ -282,3 +282,29 @@ def test_solver_refusal_exit_code(tmp_path, capsys):
     })
     assert main(["gamma-pin", scn, "--out", str(tmp_path / "o")]) == EXIT_SOLVER
     assert "SOLVER:" in capsys.readouterr().err
+
+
+def test_check_hypotheses_2d_signed_single_gamma_point(tmp_path):
+    # a = x1^3 vanishes on the x1 = 0 axis; the 2-d probe meets it at the
+    # origin only, so Gamma is a single 2-d point
+    scn = write_scenario(tmp_path, "s.json", {
+        "id": "signed2d", "problem": {
+            "N": 2, "lambda": 1.0, "q": 2.0,
+            "sigma": [[0.0, 0.0], [0.0, 0.0]], "b": [0.0, 0.0],
+            "hamiltonian": {"type": "signed", "a": {"poly": {"3,0": 1.0}}},
+            "f": 0.0,
+        },
+    })
+    out = tmp_path / "out"
+    assert main(["check-hypotheses", scn, "--out", str(out)]) == EXIT_OK
+    rep = read_report(out)
+    assert rep["verdict"] == "Theorem 4.1 applies"
+    assert rep["checks"]["A4"] is True
+
+
+def test_builtin_example1_missing_sigma_is_parse_error(tmp_path, capsys):
+    scn = write_scenario(tmp_path, "s.json", {
+        "id": "ex1", "problem": {"builtin": "example1", "b": [0.0], "A": [[1.0]]},
+    })
+    assert main(["check-hypotheses", scn, "--out", str(tmp_path / "o")]) == EXIT_PARSE
+    assert capsys.readouterr().err.strip() == "PARSE_ERROR: problem spec missing field 'sigma'"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from viscompare.fields import as_point
 from viscompare.hamiltonians import (
     GameHamiltonian,
     HamiltonianDomainError,
@@ -361,6 +362,17 @@ def test_compute_gamma_quadratic_roots():
     part = compute_gamma(H, grid)
     roots = sorted(float(p[0]) for p in part.gamma_points)
     assert roots == pytest.approx([-1.0, 1.0], abs=1e-12)
+
+
+def test_compute_gamma_and_A4_on_one_2d_point():
+    # a (1, 2) array is one point in 2-d, not two points in 1-d
+    H = SignedScalarHamiltonian(a=lambda x: float(as_point(x, 2)[0]) ** 3, q=2.0)
+    point = np.array([[0.0, 0.5]])
+    part = compute_gamma(H, point)
+    assert np.array_equal(part.gamma_points, point)
+    rep = check_A4(H, point, r=1.0, C1_candidate=10.0)
+    assert rep.passed
+    assert rep.witness[0].shape == (2,)
 
 
 def test_A4_linear_a_fails():

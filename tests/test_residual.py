@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from viscompare.fields import Polynomial
 from viscompare.problems import (
+    closed_forms,
     eq12,
     eq12_solutions,
     eq13,
@@ -176,3 +179,25 @@ def test_report_fields():
     assert rep.grid_size == len(GRID)
     d = rep.to_json_dict()
     assert d["sign_classification"] == "solution"
+
+
+def test_verify_solution_keeps_residuals_out_of_the_report():
+    problem = hje3(1.0, 1.0)
+    _, u2 = hje3_solutions(1.0, 1.0)
+    grid = np.linspace(-10.0, 10.0, 41)
+    rep = verify_solution(problem, u2, grid)
+    assert np.array_equal(rep.residuals, [pde_residual(problem, u2, x) for x in grid])
+    assert "residuals" not in rep.to_json_dict()
+    assert "residuals" not in repr(rep)
+    assert dataclasses.replace(rep, residuals=None) == rep
+
+
+def test_closed_forms_catalogue():
+    problem, (u1, u2) = closed_forms("hje3", 2.0, 1.0)
+    assert problem.name == "hje3" and problem.lam == 2.0
+    assert (u1.label, u2.label) == ("u1", "u2")
+    assert u2.val(np.array([0.0])) == hje3_solutions(2.0, 1.0)[1].val(np.array([0.0]))
+    problem, sols = closed_forms("ex2", 3.0)
+    assert problem.lam == 1.0 and [c.label for c in sols] == ["v1", "v2"]
+    with pytest.raises(ValueError, match="no closed-form solutions catalogued for 'eq13'"):
+        closed_forms("eq13")

@@ -17,10 +17,10 @@ from viscompare.residual import SmoothCandidate
 from viscompare.solver import (
     Box,
     DiscreteField,
+    DiscreteOperator,
     MonotonicityError,
     SchemeConfig,
     comparison_check,
-    discretize,
     gamma_pinning_check,
     manufactured_rhs,
     nonuniqueness_demo,
@@ -77,7 +77,7 @@ def test_discrete_field_invariants():
 
 
 def test_grid_is_odd_and_centered():
-    disc = discretize(eq13(1.0, 2.0), Box(center=(0.0,), half_width=(5.0,)), 0.02)
+    disc = DiscreteOperator(eq13(1.0, 2.0), Box(center=(0.0,), half_width=(5.0,)), 0.02)
     assert len(disc.axes[0]) % 2 == 1
     assert disc.axes[0][len(disc.axes[0]) // 2] == pytest.approx(0.0)
 
@@ -160,7 +160,7 @@ def test_2d_requires_diagonal_diffusion():
     problem = ProblemSpec(N=2, lam=1.0, operator=op, hamiltonian=None, q=2.0,
                           f=lambda x: 0.0)
     with pytest.raises(ValueError, match="diagonal"):
-        discretize(problem, Box(center=(0.0, 0.0), half_width=(1.0, 1.0)), 0.25)
+        DiscreteOperator(problem, Box(center=(0.0, 0.0), half_width=(1.0, 1.0)), 0.25)
 
 
 def test_2d_manufactured_first_order():
@@ -298,7 +298,7 @@ def test_nonuniqueness_hje3_nonnegative_t():
 def test_game_policy_iteration_terminates_fast():
     gp = game_problem(1.0)
     problem = gp.with_f(lambda x: manufactured_rhs(gp, COS, x))
-    config = SchemeConfig(policy_iteration=True)
+    config = SchemeConfig(damping=1.0)
     sol, rep = solve(problem, Box(center=(0.0,), half_width=(2.0,)), 0.05,
                      lambda x: COS.val(x), config)
     assert rep.converged
@@ -398,7 +398,7 @@ def test_assemble_matches_entrywise_reference(N):
     b = (lambda x: np.array([0.3, -0.2])[:N] * np.asarray(x)) if N == 2 else np.array([0.4])
     op = DriftDiffusionOperator(sigma=np.eye(N), b=b, N=N)
     problem = ProblemSpec(N=N, lam=1.0, operator=op, hamiltonian=None, q=2.0, f=0.0)
-    disc = discretize(problem, Box(center=(0.0,) * N, half_width=(1.0,) * N), 0.2)
+    disc = DiscreteOperator(problem, Box(center=(0.0,) * N, half_width=(1.0,) * N), 0.2)
     rng = np.random.default_rng(N)
     slopes = rng.normal(scale=20.0, size=(disc.n_interior, N))
     lf = 1.2 * np.abs(slopes)

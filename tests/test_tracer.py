@@ -1,0 +1,59 @@
+"""The benchmark's layer tracer (perfbench/layers.py) against the library.
+
+The tracer wraps library functions and methods by name, so renaming a
+traced name breaks the traced benchmark run.  These tests install and
+uninstall it in-process, so the same rename fails here first.
+"""
+
+import importlib
+import importlib.util
+import json
+from pathlib import Path
+
+import viscompare
+import viscompare.cli
+
+LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+
+
+def load_layers():
+    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def resolve(modname, attr):
+    owner = importlib.import_module(modname)
+    *cls_path, name = attr.split(".")
+    for part in cls_path:
+        owner = getattr(owner, part)
+    return owner.__dict__[name]
+
+
+def test_tracer_wraps_every_target_and_uninstalls(tmp_path):
+    layers = load_layers()
+    originals = {(m, a): resolve(m, a) for m, a, _, _ in layers.TARGETS}
+    tracer = layers.Tracer()
+    try:
+        tracer.install()
+        for (modname, attr), original in originals.items():
+            assert resolve(modname, attr).__wrapped__ is original, attr
+        # verify-classical certifies two candidates on 801 points each and
+        # writes its CSVs from those residuals, without evaluating them again
+        scn = tmp_path / "eq12.json"
+        scn.write_text(json.dumps({"id": "eq12", "problem": {"builtin": "eq12"}}))
+        code = viscompare.cli.main(["verify-classical", str(scn), "--out", str(tmp_path / "o")])
+        assert code == viscompare.cli.EXIT_OK
+        assert tracer.stats["residual.verify"][0] == 2
+        assert tracer.stats["residual.point"][0] == 2 * 801
+        assert tracer.stats["cli.write"][0] == 3
+        # a builtin's fields are parsed through the traced module attributes:
+        # one span for build_problem and one for parse_scalar_field
+        parses = tracer.stats["cli.parse"][0]
+        viscompare.cli.build_problem({"builtin": "eq13", "f": {"name": "one"}})
+        assert tracer.stats["cli.parse"][0] == parses + 2
+    finally:
+        tracer.uninstall()
+    for (modname, attr), original in originals.items():
+        assert resolve(modname, attr) is original, attr
