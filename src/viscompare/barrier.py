@@ -16,11 +16,14 @@ eps' = lam*alpha/4, and window estimates of the growth constants C_eps
 
     C1 = lam^-1 [C_eps' + max{C_eps <x>^(q'-2) : <x> <= 4 C_eps / lam}] + 1.
 
-Strictness is always re-verified numerically on the window grid
-(verify_strict); for coefficients with merely bounded relative linear
-growth the same construction closes only for large lam, found by a
-doubling ladder (lambda0_for_SG).  All constants are window estimates and
-every report carries the window.
+sigma0, b0 and f do not depend on lam, so each point set is sampled once
+(_Sample); C_eps, C_eps' and the strictness residuals are array expressions
+over the sample, bit-identical to the pointwise eval_barrier and
+extremal_residual.  Strictness is always re-verified numerically on the
+window grid (verify_strict); for coefficients with merely bounded relative
+linear growth the same construction closes only for large lam, found by a
+doubling ladder (lambda0_for_SG) on one window sample.  All constants are
+window estimates and every report carries the window.
 """
 
 from __future__ import annotations
@@ -31,7 +34,12 @@ import numpy as np
 
 from . import growth
 from .fields import as_point, as_points
+from .hamiltonians import _row_dots, _scalar_pow
 from .operators import check_F3_F4_growth
+
+GROWTH_TOL = 0.02          # tolerance of the growth-class preconditions
+LADDER_START, LADDER_MAX = 1.0 / 16.0, 2.0**20  # lambda0 ladder: first rung, last rung
+LINEAR_ALPHA = 1.0         # alpha of the linear-case barrier
 
 
 class BarrierPreconditionError(ValueError):
@@ -153,59 +161,54 @@ def window_points(window: Window, dim: int) -> np.ndarray:
         return np.linspace(-window.radius, window.radius, window.nodes).reshape(-1, 1)
     dirs = growth.shell_directions(dim, 64)
     radii = np.linspace(0.0, window.radius, max(33, window.nodes // 64))
-    pts = [np.zeros(dim)]
-    for R in radii[1:]:
-        pts.extend(R * d for d in dirs)
-    return np.asarray(pts)
+    return np.vstack([np.zeros((1, dim)), (radii[1:, None, None] * dirs).reshape(-1, dim)])
 
 
-def _estimate_C_eps(problem, eps: float, pts: np.ndarray) -> float:
-    """Smallest C with max(|sigma0(x)|, b0(x)) <= eps|x| + C on the window."""
-    worst = 0.0
-    for x in pts:
-        coeff = max(problem.extremal.sigma0_norm(x), abs(problem.b0_at(x)))
-        worst = max(worst, coeff - eps * float(np.linalg.norm(x)))
-    return max(0.0, worst)
+class _Sample:
+    """The data of one problem at pts (M, N): one pass of sigma0_at, b0_at, f_at."""
+
+    def __init__(self, problem, pts: np.ndarray):
+        ext = problem.extremal
+        s0, b0, f = zip(*[(ext.sigma0_at(x), ext.b0_at(x), problem.f_at(x)) for x in pts])
+        s0 = np.array(s0)
+        sq = _row_dots(pts)
+        self.pts = pts
+        self.norms = np.sqrt(sq)          # |x|
+        self.bracket = np.sqrt(1.0 + sq)  # <x>
+        self.diffusion = s0 @ s0.swapaxes(1, 2)
+        self.b0 = np.array(b0)
+        self.f = np.array(f)
+        # max(|sigma0|, |b0|) in Python's max order: b0 wins only when larger
+        s0_norm = np.abs(np.linalg.eigvalsh(0.5 * (s0 + s0.swapaxes(1, 2)))).max(axis=1)
+        b0_abs = np.abs(self.b0)
+        self.coeff = np.where(b0_abs > s0_norm, b0_abs, s0_norm)
 
 
-def _estimate_C_eps_prime(problem, eps_prime: float, pts: np.ndarray, q_prime: float) -> float:
-    """Smallest C with f(x) >= -eps'|x|^q' - C on the window."""
-    worst = 0.0
-    for x in pts:
-        worst = max(worst, -problem.f_at(x) - eps_prime * float(np.linalg.norm(x)) ** q_prime)
-    return max(0.0, worst)
+def _excess(values: np.ndarray) -> float:
+    """max(0, largest value) as a running Python max: NaN skipped, -0.0 -> 0.0."""
+    return max(0.0, float(np.max(values[~np.isnan(values)], initial=0.0)))
 
 
-def _require_growth(problem, relaxed: bool, growth_tol: float):
-    rep = check_F3_F4_growth(problem.extremal, "relaxed" if relaxed else "strict",
-                             tol=growth_tol, dim=problem.N)
-    f_rep = growth.classify_growth(problem.f_at, problem.q_prime, tol=growth_tol, dim=problem.N)
-    if not relaxed:
-        if not rep.passed:
-            raise BarrierPreconditionError(
-                "strict construction refused: |sigma0| or b0 not estimated in the "
-                "order-1 vanishing class S_1 on the window; try the large-lambda "
-                "relaxation (relaxed=True / lambda0_for_SG)"
-            )
-        if not f_rep.in_S_plus:
-            raise BarrierPreconditionError(
-                "strict construction refused: f not estimated in S_{q'}^+ on the "
-                "window; try the large-lambda relaxation (relaxed=True / lambda0_for_SG)"
-            )
+def _require_growth(problem, relaxed: bool):
+    mode = "relaxed" if relaxed else "strict"
+    rep = check_F3_F4_growth(problem.extremal, mode, tol=GROWTH_TOL, dim=problem.N)
+    f_rep = growth.classify_growth(problem.f_at, problem.q_prime, tol=GROWTH_TOL, dim=problem.N)
+    if relaxed:
+        coeff_class, f_class, f_ok = "bounded class SG_1", "SG_{q'}^+", f_rep.in_SG_plus
+        fallback = ""
     else:
-        if not (rep.sigma0_report.in_SG and rep.b0_report.in_SG):
-            raise BarrierPreconditionError(
-                "relaxed construction refused: |sigma0| or b0 not estimated in the "
-                "order-1 bounded class SG_1 on the window"
-            )
-        if not f_rep.in_SG_plus:
-            raise BarrierPreconditionError(
-                "relaxed construction refused: f not estimated in SG_{q'}^+ on the window"
-            )
+        coeff_class, f_class, f_ok = "vanishing class S_1", "S_{q'}^+", f_rep.in_S_plus
+        fallback = "; try the large-lambda relaxation (relaxed=True / lambda0_for_SG)"
+    if not rep.passed:
+        failed = f"|sigma0| or b0 not estimated in the order-1 {coeff_class}"
+    elif not f_ok:
+        failed = f"f not estimated in {f_class}"
+    else:
+        return
+    raise BarrierPreconditionError(f"{mode} construction refused: {failed} on the window{fallback}")
 
 
-def construct_barrier(problem, mu: float, window: Window, relaxed: bool = False,
-                      growth_tol: float = 0.02) -> BarrierParams:
+def construct_barrier(problem, mu: float, window: Window, relaxed: bool = False) -> BarrierParams:
     """Fix the strict-supersolution constants for the given problem.
 
     eps = lam/4 exactly and alpha the largest admissible value capped at
@@ -217,7 +220,12 @@ def construct_barrier(problem, mu: float, window: Window, relaxed: bool = False,
         raise BarrierPreconditionError(
             "problem has no gradient term; use linear_case_barrier instead"
         )
-    _require_growth(problem, relaxed, growth_tol)
+    _require_growth(problem, relaxed)
+    return _barrier_params(problem, mu, window.radius,
+                           _Sample(problem, window_points(window, problem.N)))
+
+
+def _barrier_params(problem, mu: float, window_radius: float, sample: _Sample) -> BarrierParams:
     lam, q = problem.lam, problem.q
     q_prime = problem.q_prime
     C0 = problem.C0
@@ -227,9 +235,10 @@ def construct_barrier(problem, mu: float, window: Window, relaxed: bool = False,
     eps = lam / 4.0
     alpha = min(0.99, (lam / (4.0 * C0_prime)) ** (1.0 / (q - 1.0)))
     eps_prime = lam * alpha / 4.0
-    pts = window_points(window, problem.N)
-    C_eps = _estimate_C_eps(problem, eps, pts)
-    C_eps_prime = _estimate_C_eps_prime(problem, eps_prime, pts, q_prime)
+    # smallest C with max(|sigma0|, b0) <= eps|x| + C, and with
+    # f >= -eps'|x|^q' - C, on the sample
+    C_eps = _excess(sample.coeff - eps * sample.norms)
+    C_eps_prime = _excess(-sample.f - eps_prime * _scalar_pow(sample.norms, q_prime))
     # max of C_eps * t^(q'-2) over bracket values t in [1, 4 C_eps / lam];
     # empty when 4 C_eps / lam < 1, and monotone in t, so endpoints suffice
     t_max = 4.0 * C_eps / lam
@@ -244,7 +253,7 @@ def construct_barrier(problem, mu: float, window: Window, relaxed: bool = False,
         mu=mu, q=q, q_prime=q_prime, lam=lam, C0=C0, C0_prime=C0_prime,
         eps=eps, eps_prime=eps_prime, C_eps=C_eps, C_eps_prime=C_eps_prime,
         alpha=alpha, C1=C1, beta_mu=beta_mu(mu, q, C0),
-        window_radius=window.radius,
+        window_radius=window_radius,
     )
 
 
@@ -274,6 +283,24 @@ def extremal_residual(problem, params: BarrierParams, w_value: float, w_grad, w_
     )
 
 
+def _residual(sample: _Sample, lam: float, outer: float, alpha: float, C1: float, q_prime: float):
+    """lam*Phi + P(x, D^2 Phi) - b0|D Phi| and |D Phi| at the sample points for
+    Phi = outer (C1 + alpha <x>^q'), in the float order of eval_barrier and
+    extremal_residual (scalar pow, the pointwise BLAS kernels): bit for bit."""
+    br, pts = sample.bracket, sample.pts
+    scale = outer * alpha
+    value = outer * (C1 + alpha * _scalar_pow(br, q_prime))
+    grad = scale * ((q_prime * _scalar_pow(br, q_prime - 2.0))[:, None] * pts)
+    hess = (q_prime * _scalar_pow(br, q_prime - 4.0))[:, None, None] * (
+        _scalar_pow(br, 2)[:, None, None] * np.eye(pts.shape[1])
+        + (q_prime - 2.0) * (pts[:, :, None] * pts[:, None, :])
+    )
+    hess = scale * (0.5 * (hess + hess.swapaxes(1, 2)))
+    gnorm = np.sqrt(_row_dots(grad))
+    P = -np.trace(sample.diffusion @ hess, axis1=1, axis2=2)
+    return lam * value + P - sample.b0 * gnorm, gnorm
+
+
 def _strictness(residuals, pts: np.ndarray, window_radius: float) -> StrictnessReport:
     """Report the first minimal residual, or fail at the first non-finite one."""
     residuals = np.asarray(residuals, dtype=float)
@@ -294,38 +321,45 @@ def verify_strict(problem, params: BarrierParams, grid=None) -> StrictnessReport
     params' window); pass iff every residual is finite and > 0."""
     pts = (window_points(Window(params.window_radius), problem.N) if grid is None
            else as_points(grid, problem.N))
-    res = [extremal_residual(problem, params, *eval_barrier(params, x), x) for x in pts]
-    return _strictness(res, pts, params.window_radius)
+    return _verify(problem, params, _Sample(problem, pts))
 
 
-def lambda0_for_SG(problem, mu: float, window: Window,
-                   ladder_start: float = 1.0 / 16.0,
-                   ladder_max: float = 2.0**20) -> Lambda0Report:
+def _verify(problem, params: BarrierParams, sample: _Sample) -> StrictnessReport:
+    res, gnorm = _residual(sample, problem.lam, 1.0 - params.mu, params.alpha, params.C1,
+                           params.q_prime)
+    res = res - params.beta_mu * _scalar_pow(gnorm, params.q) - (params.mu - 1.0) * sample.f
+    return _strictness(res, sample.pts, params.window_radius)
+
+
+def lambda0_for_SG(problem, mu: float, window: Window) -> Lambda0Report:
     """Smallest ladder lambda whose (relaxed) construction verifies strict.
 
-    Doubling ladder from ladder_start; the returned lambda0 is a
-    certified-on-window upper bound for the true threshold.  Exhaustion is
-    reported, not raised.
+    Doubling ladder from LADDER_START; the returned lambda0 is a
+    certified-on-window upper bound for the true threshold.  All rungs
+    construct and verify on one window sample.  Exhaustion is reported, not raised.
     """
-    rungs = []
-    lam = ladder_start
-    while lam <= ladder_max:
-        prob = problem.with_lambda(lam)
+    linear = problem.hamiltonian is None
+    if not linear:
         try:
-            if prob.hamiltonian is None:
-                _, rep = linear_case_barrier(prob, window)
-            else:
-                params = construct_barrier(prob, mu, window, relaxed=True)
-                rep = verify_strict(prob, params)
+            _require_growth(problem, relaxed=True)
         except BarrierPreconditionError as exc:
-            return Lambda0Report(None, mu, window.radius, tuple(rungs), note=str(exc))
+            return Lambda0Report(None, mu, window.radius, (), note=str(exc))
+    sample = _Sample(problem, window_points(window, problem.N))
+    rungs = []
+    lam = LADDER_START
+    while lam <= LADDER_MAX:
+        prob = problem.with_lambda(lam)
+        if linear:
+            _, rep = _linear_barrier(prob, window.radius, sample)
+        else:
+            rep = _verify(prob, _barrier_params(prob, mu, window.radius, sample), sample)
         rungs.append((lam, rep.passed, rep.min_residual))
         if rep.passed:
             return Lambda0Report(lam, mu, window.radius, tuple(rungs))
         lam *= 2.0
     return Lambda0Report(
         None, mu, window.radius, tuple(rungs),
-        note=f"ladder exhausted at lambda > {ladder_max:g}; no on-window strict barrier found",
+        note=f"ladder exhausted at lambda > {LADDER_MAX:g}; no on-window strict barrier found",
     )
 
 
@@ -341,59 +375,40 @@ class LinearBarrier:
     q_prime: float
     window_radius: float
 
-    def __call__(self, x):
-        x = as_point(x)
-        value = self.C1 + self.alpha * growth.bracket(x) ** self.q_prime
-        grad, hess = growth.bracket_power_derivatives(x, self.q_prime)
-        return value, self.alpha * grad, self.alpha * hess
-
     def to_json_dict(self) -> dict:
         return {k: float(getattr(self, k)) for k in (
             "alpha", "C1", "eps", "C_eps", "lam", "q_prime", "window_radius",
         )}
 
 
-def linear_case_barrier(problem, window: Window, alpha: float = 1.0):
+def linear_case_barrier(problem, window: Window):
     """Strict supersolution of lam*w + P(x, D^2 w) - b0|Dw| = 0 (no H).
 
-    Phi = alpha <x>^q' + C1 with alpha, C1 >= 1 and C1 >= C_eps/lam + 1,
+    Phi = <x>^q' + C1 (alpha = 1) with C1 >= 1 and C1 >= C_eps/lam + 1,
     C_eps estimated at eps = lam/4 on the window; strictness verified on
     the window grid.
     """
     if problem.hamiltonian is not None:
         raise ValueError("linear_case_barrier requires a problem without a gradient term")
+    return _linear_barrier(problem, window.radius,
+                           _Sample(problem, window_points(window, problem.N)))
+
+
+def _linear_barrier(problem, window_radius: float, sample: _Sample):
     lam = problem.lam
-    q_prime = problem.q_prime
-    pts = window_points(window, problem.N)
     eps = lam / 4.0
-    C_eps = _estimate_C_eps(problem, eps, pts)
-    C1 = max(1.0, C_eps / lam + 1.0)
-    bar = LinearBarrier(alpha=max(1.0, alpha), C1=C1, eps=eps, C_eps=C_eps,
-                        lam=lam, q_prime=q_prime, window_radius=window.radius)
-    res = []
-    for x in pts:
-        v, g, h = bar(x)
-        res.append(lam * v + problem.P(x, h) - problem.b0_at(x) * float(np.linalg.norm(g)))
-    return bar, _strictness(res, pts, window.radius)
+    C_eps = _excess(sample.coeff - eps * sample.norms)
+    bar = LinearBarrier(alpha=LINEAR_ALPHA, C1=max(1.0, C_eps / lam + 1.0), eps=eps,
+                        C_eps=C_eps, lam=lam, q_prime=problem.q_prime,
+                        window_radius=window_radius)
+    res, _ = _residual(sample, lam, 1.0, bar.alpha, bar.C1, bar.q_prime)
+    return bar, _strictness(res, sample.pts, window_radius)
 
 
 def system_extremal_residual(system, params_per_k, w_value: float, w_grad, w_hess, x) -> float:
-    """lam*w + min_k { P_k(x, w_hess) - b_k|w_grad| - beta_mu|w_grad|^q - (mu-1) f_k }.
-
-    All components share q and C0; with m = 1 this is the scalar residual.
-    """
-    x = as_point(x)
-    gnorm = float(np.linalg.norm(np.atleast_1d(w_grad)))
-    best = np.inf
-    for k in range(system.m):
-        params = params_per_k[k] if not isinstance(params_per_k, BarrierParams) else params_per_k
-        ext = system.extremal(k)
-        term = (
-            ext.P(x, w_hess)
-            - ext.b0_at(x) * gnorm
-            - params.beta_mu * gnorm**params.q
-            - (params.mu - 1.0) * system.f_at(k, x)
-        )
-        best = min(best, term)
-    lam = system.lam
-    return lam * float(w_value) + best
+    """min over k of extremal_residual of component k (the components share
+    lam, q and C0); with m = 1 this is the scalar residual."""
+    return min(
+        extremal_residual(system.scalar_problem(k), params_per_k[k], w_value, w_grad, w_hess, x)
+        for k in range(system.m)
+    )

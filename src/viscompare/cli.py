@@ -80,6 +80,14 @@ def load_scenario(path: str) -> dict:
         raise ScenarioError(f"scenario JSON parse error at line {exc.lineno}: {exc.msg}") from exc
 
 
+def _number(value, key: str, cast=float):
+    """A scenario number; one that cast cannot convert is a parse error."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{key!r} must be a number, got {value!r}") from exc
+
+
 def _parse_field(parser, spec, dim, what):
     try:
         return parser(spec, dim)
@@ -100,8 +108,8 @@ def _build_builtin(spec: dict) -> prob_mod.ProblemSpec:
     builder, takes = _builder(spec["builtin"])
     if builder is None:
         raise ScenarioError(f"unknown builtin problem {spec['builtin']!r}")
-    N = int(spec.get("N", 1)) if "N" in takes else 1
-    args = {"lam": float(spec.get("lambda", 1.0)), "N": N}
+    N = _number(spec.get("N", 1), "N", int) if "N" in takes else 1
+    args = {"lam": _number(spec.get("lambda", 1.0), "lambda"), "N": N}
     parsers = {"sigma": parse_matrix_field, "b": parse_vector_field,
                "A": parse_matrix_field, "f": parse_scalar_field}
     for key, parser in parsers.items():
@@ -113,7 +121,7 @@ def _build_builtin(spec: dict) -> prob_mod.ProblemSpec:
         args[key] = _parse_field(parser, spec.get(key, 0.0), N, key)
     for key, default in (("q", 2.0), ("t", -1.0)):
         if key in takes:
-            args[key] = float(spec.get(key, default))
+            args[key] = _number(spec.get(key, default), key)
     return builder(**{k: v for k, v in args.items() if k in takes})
 
 
@@ -123,12 +131,12 @@ def build_problem(spec: dict) -> prob_mod.ProblemSpec:
     if "builtin" in spec:
         return _build_builtin(spec)
     try:
-        N = int(spec["N"])
-        lam = float(spec["lambda"])
+        N = _number(spec["N"], "N", int)
+        lam = _number(spec["lambda"], "lambda")
         sigma = _parse_field(parse_matrix_field, spec["sigma"], N, "sigma")
         b = _parse_field(parse_vector_field, spec["b"], N, "b")
         f = _parse_field(parse_scalar_field, spec.get("f", 0.0), N, "f")
-        q = float(spec.get("q", 2.0))
+        q = _number(spec.get("q", 2.0), "q")
     except KeyError as exc:
         raise ScenarioError(f"problem spec missing field {exc.args[0]!r}") from exc
     ham_spec = spec.get("hamiltonian")
@@ -142,8 +150,9 @@ def build_problem(spec: dict) -> prob_mod.ProblemSpec:
         else:
             raise ScenarioError(f"unknown hamiltonian type {kind!r} in custom problem")
     op = DriftDiffusionOperator(sigma=sigma, b=b, N=N)
-    return prob_mod.ProblemSpec(N=N, lam=lam, operator=op, hamiltonian=ham, q=q,
-                                f=f, C0=spec.get("C0"), name=spec.get("id", "custom"))
+    C0 = None if spec.get("C0") is None else _number(spec["C0"], "C0")
+    return prob_mod.ProblemSpec(N=N, lam=lam, operator=op, hamiltonian=ham, q=q, f=f,
+                                C0=C0, name=spec.get("id", "custom"))
 
 
 def build_system(spec: dict) -> sys_mod.MonotoneSystem:
@@ -152,8 +161,8 @@ def build_system(spec: dict) -> sys_mod.MonotoneSystem:
             raise ScenarioError(f"unknown builtin system {spec['builtin']!r}")
         return sys_mod.system2(
             coupling=spec.get("coupling", "none"),
-            c=float(spec.get("c", 0.5)),
-            lam=float(spec.get("lambda", 1.0)),
+            c=_number(spec.get("c", 0.5), "c"),
+            lam=_number(spec.get("lambda", 1.0), "lambda"),
         )
     raise ScenarioError("custom system scenarios are not supported; use builtin system2")
 
@@ -162,8 +171,9 @@ def parse_grid(scn: dict, h_flag: float | None):
     grid = scn.get("grid")
     if grid is None:
         raise ScenarioError("scenario has no grid spec")
-    box = solver_mod.Box(center=grid["box"]["center"], half_width=grid["box"]["half_width"])
-    h = float(h_flag if h_flag is not None else grid["h"])
+    box = solver_mod.Box(*([_number(v, key) for v in np.atleast_1d(grid["box"][key]).tolist()]
+                           for key in ("center", "half_width")))
+    h = h_flag if h_flag is not None else _number(grid["h"], "h")
     return box, h
 
 
@@ -171,7 +181,7 @@ def closed_forms(spec: dict, lam: float = 1.0):
     """(problem, closed-form solutions) of the scenario's non-uniqueness
     example; any other problem is a parse error.  t is read only for hje3."""
     name = spec.get("builtin")
-    t = float(spec.get("t", -1.0)) if "t" in _builder(name)[1] else -1.0
+    t = _number(spec.get("t", -1.0), "t") if "t" in _builder(name)[1] else -1.0
     try:
         return prob_mod.closed_forms(name, lam, t)
     except ValueError as exc:
@@ -184,10 +194,12 @@ def parse_boundary(spec, problem, scn):
     if isinstance(spec, (int, float)):
         return float(spec)
     if "value" in spec:
-        return float(spec["value"])
+        return _number(spec["value"], "value")
     if "field" in spec:
         return parse_scalar_field(spec["field"], problem.N)
     if "trace" in spec:
+        if "problem" not in scn:
+            raise ScenarioError("a trace boundary needs a scalar 'problem' with closed forms")
         by_label = {c.label: c for c in closed_forms(scn["problem"], problem.lam)[1]}
         try:
             cand = by_label[spec["trace"]]
@@ -514,8 +526,8 @@ def cmd_nonuniqueness(scn, args, outdir):
     box, h = parse_grid(scn, args.h)
     rep = solver_mod.nonuniqueness_demo(
         scn["problem"]["builtin"], box, h,
-        lam=float(scn["problem"].get("lambda", 1.0)),
-        t=float(scn["problem"].get("t", -1.0)),
+        lam=_number(scn["problem"].get("lambda", 1.0), "lambda"),
+        t=_number(scn["problem"].get("t", -1.0), "t"),
     )
     write_report(outdir, {"id": scn.get("id", ""), **rep.to_json_dict()})
     csvs = [(f"field_{b.label}.csv", b.solution.points(), b.solution.values.ravel())

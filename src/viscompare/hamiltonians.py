@@ -20,6 +20,10 @@ import numpy as np
 
 from .fields import as_point, as_points
 
+FD_STEP = 1e-6      # relative central-difference step of hamiltonian_slope
+MODULUS_BINS = 8    # distance bins of the H4 and F1 modulus tables
+A4_RADII, A4_MIN_RADIUS = 12, 1e-3  # check_A4: geometric radii from A4_MIN_RADIUS to r
+
 
 class HamiltonianDomainError(ValueError):
     """Raised when <A(x) xi, xi> < 0 meets a non-integer power q/2."""
@@ -180,13 +184,13 @@ class GameHamiltonian:
         return GameGrid(self, points)
 
 
-def hamiltonian_slope(H, x, xi, fd_step: float = 1e-6) -> np.ndarray:
+def hamiltonian_slope(H, x, xi) -> np.ndarray:
     """d/dxi H(x, xi), analytic for the built-in forms, central FD otherwise."""
     if hasattr(H, "slope"):
         return H.slope(x, xi)
     xi = as_point(xi)
     out = np.empty_like(xi)
-    step = fd_step * (1.0 + float(np.linalg.norm(xi)))
+    step = FD_STEP * (1.0 + float(np.linalg.norm(xi)))
     for i in range(xi.size):
         e = np.zeros_like(xi)
         e[i] = step
@@ -221,6 +225,11 @@ def on_grid(H, points):
 
 def _scalar_pow(base: np.ndarray, exponent) -> np.ndarray:
     return np.array([b**exponent for b in base.tolist()])
+
+
+def _row_dots(G: np.ndarray) -> np.ndarray:
+    """Per-row <g_i, g_i> for G of shape (n, N), by the pointwise np.dot kernel."""
+    return (G[:, None, :] @ G[:, :, None])[:, 0, 0]
 
 
 def _quadratic_forms(M: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -289,14 +298,11 @@ class SignedGrid:
         self.q = H.q
         self.a = np.array([float(_coeff(H.a, as_point(x))) for x in points])
 
-    def _norms(self, G):
-        return np.sqrt((G[:, None, :] @ G[:, :, None])[:, 0, 0])
-
     def values(self, G):
-        return self.a * _scalar_pow(self._norms(G), self.q)
+        return self.a * _scalar_pow(np.sqrt(_row_dots(G)), self.q)
 
     def slopes(self, G):
-        n = self._norms(G)
+        n = np.sqrt(_row_dots(G))
         zero = n == 0.0
         p = _scalar_pow(np.where(zero, 1.0, n), self.q - 2.0)
         return np.where(zero[:, None], 0.0, (self.a * self.q * p)[:, None] * G)
@@ -454,21 +460,21 @@ def check_H3_homogeneity(H, samples, thetas, tol: float = 1e-12) -> CheckReport:
                                cases, thetas, H.q, tol)
 
 
-def binned_max(dists, values, bins: int):
-    """Split [0, max dist] into equal bins (the first closed at 0) and take
-    the largest value in each; nan marks an empty bin.  Returns (edges,
-    table)."""
+def binned_max(dists, values):
+    """Split [0, max dist] into MODULUS_BINS equal bins (the first closed at
+    0) and take the largest value in each; nan marks an empty bin.  Returns
+    (edges, table)."""
     dists, values = np.asarray(dists), np.asarray(values)
-    edges = np.linspace(0.0, max(dists.max(), 1e-300), bins + 1)
-    table = np.full(bins, np.nan)
-    for i in range(bins):
+    edges = np.linspace(0.0, max(dists.max(), 1e-300), MODULUS_BINS + 1)
+    table = np.full(MODULUS_BINS, np.nan)
+    for i in range(MODULUS_BINS):
         mask = (dists > edges[i]) & (dists <= edges[i + 1]) if i else (dists <= edges[1])
         if mask.any():
             table[i] = values[mask].max()
     return edges, table
 
 
-def check_H4_modulus(H, R: float, pair_samples, bins: int = 8, tol: float = 1e-9) -> ModulusReport:
+def check_H4_modulus(H, R: float, pair_samples, tol: float = 1e-9) -> ModulusReport:
     """Tabulate sup |H(x,xi)-H(y,xi)| / |xi|^q against |x-y| bins inside B_R.
 
     Passes when the table is nonincreasing toward small separations (within
@@ -486,7 +492,7 @@ def check_H4_modulus(H, R: float, pair_samples, bins: int = 8, tol: float = 1e-9
             raise ValueError("xi samples must be nonzero")
         dists.append(float(np.linalg.norm(x - y)))
         ratios.append(abs(float(H(x, xi)) - float(H(y, xi))) / n**q)
-    edges, values = binned_max(dists, ratios, bins)
+    edges, values = binned_max(dists, ratios)
     filled = [v for v in values if not np.isnan(v)]
     monotone = all(a <= b + tol for a, b in zip(filled, filled[1:]))
     decays = (not filled) or filled[0] <= 0.5 * filled[-1] + tol
@@ -568,8 +574,7 @@ def compute_gamma(signed: SignedScalarHamiltonian, grid, tol: float | None = Non
     )
 
 
-def check_A4(H, gamma_points, r: float, C1_candidate: float,
-             n_radii: int = 12, min_radius: float = 1e-3, tol: float = 1e-9) -> CheckReport:
+def check_A4(H, gamma_points, r: float, C1_candidate: float, tol: float = 1e-9) -> CheckReport:
     """Sample |H(x, xi)| <= C1 |x - x0|^q |xi|^q for x in B_r(x0), x0 in Gamma.
 
     Reports the smallest feasible C1 found on the samples; fails when it
@@ -581,7 +586,7 @@ def check_A4(H, gamma_points, r: float, C1_candidate: float,
     from .growth import shell_directions
 
     dirs = shell_directions(pts.shape[1], 16)
-    radii = np.geomspace(min_radius, r, n_radii)
+    radii = np.geomspace(A4_MIN_RADIUS, r, A4_RADII)
     xi_samples = [d * m for d in dirs for m in (1.0, 3.0)]
     worst_C1, witness = 0.0, None
     for x0 in pts:

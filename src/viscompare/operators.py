@@ -18,6 +18,11 @@ from . import growth
 from .fields import as_point
 from .hamiltonians import CheckReport, ModulusReport, binned_max, sampled_homogeneity
 
+ELLIPTICITY_SAMPLES = 500         # random cases of check_degenerate_ellipticity
+LIPSCHITZ_PAIRS = 200             # check_A1_A3: point pairs for the A3 quotients
+F1_PAIRS = 240                    # check_F1_standard_form: random pairs x, y
+F1_EPS_VALUES = (0.5, 0.1, 0.02)  # the eps each of those pairs draws from
+
 
 def _coeff_array(valuer, x, ndmin: int) -> np.ndarray:
     """A constant or callable coefficient at x, as a float array of ndmin dims."""
@@ -109,12 +114,12 @@ def check_F2_homogeneity(F, samples, thetas, tol: float = 1e-12) -> CheckReport:
 
 
 def check_degenerate_ellipticity(op: DriftDiffusionOperator, samples=None,
-                                 n_samples: int = 500, rng=None, tol: float = 1e-9) -> CheckReport:
+                                 rng=None, tol: float = 1e-9) -> CheckReport:
     """Sample F(x, xi, X) <= F(x, xi, Y) + tol for X = Y + (psd increment)."""
     if samples is None:
         rng = np.random.default_rng(0) if rng is None else rng
         samples = []
-        for _ in range(n_samples):
+        for _ in range(ELLIPTICITY_SAMPLES):
             x = rng.uniform(-3, 3, op.N)
             xi = rng.uniform(-3, 3, op.N)
             Y = rng.standard_normal((op.N, op.N))
@@ -159,7 +164,7 @@ def check_F3_F4_growth(ext: ExtremalOperator, mode: str = "strict",
 
 
 def check_A1_A3(ext: ExtremalOperator, gamma, window_radius: float = 1.0,
-                n_pairs: int = 200, rng=None, tol: float = 1e-8) -> CheckReport:
+                rng=None, tol: float = 1e-8) -> CheckReport:
     """Vanishing of sigma0, b0 on Gamma plus sampled difference quotients.
 
     A1: |sigma0(x0)| and b0(x0) <= tol at every Gamma point.  A3: local
@@ -174,7 +179,7 @@ def check_A1_A3(ext: ExtremalOperator, gamma, window_radius: float = 1.0,
         if v > worst:
             worst, witness = v, np.asarray(x0)
     lip_s, lip_b = 0.0, 0.0
-    for _ in range(n_pairs):
+    for _ in range(LIPSCHITZ_PAIRS):
         x = rng.uniform(-window_radius, window_radius, ext.N)
         y = rng.uniform(-window_radius, window_radius, ext.N)
         d = float(np.linalg.norm(x - y))
@@ -217,8 +222,7 @@ def _admissible_blocks(rng, N: int, eps: float):
 
 
 def check_F1_standard_form(op: DriftDiffusionOperator, R: float, pair_samples=None,
-                           n_pairs: int = 240, eps_values=(0.5, 0.1, 0.02),
-                           bins: int = 8, rng=None, tol: float = 1e-8) -> ModulusReport:
+                           rng=None, tol: float = 1e-8) -> ModulusReport:
     """Structure-condition consequence on block-admissible matrix pairs.
 
     Samples F(y, p, Y) - F(x, p, X) with p = (x-y)/eps over pairs x, y in
@@ -230,11 +234,11 @@ def check_F1_standard_form(op: DriftDiffusionOperator, R: float, pair_samples=No
     rng = np.random.default_rng(2) if rng is None else rng
     if pair_samples is None:
         pair_samples = []
-        for _ in range(n_pairs):
+        for _ in range(F1_PAIRS):
             x = rng.uniform(-R, R, op.N)
             y = x + rng.uniform(-0.5 * R, 0.5 * R, op.N)
             y = np.clip(y, -R, R)
-            pair_samples.append((x, y, float(rng.choice(eps_values))))
+            pair_samples.append((x, y, float(rng.choice(F1_EPS_VALUES))))
     lip_s, lip_b = 0.0, 0.0
     for x, y, _ in pair_samples:
         d = float(np.linalg.norm(np.asarray(x) - np.asarray(y)))
@@ -255,7 +259,7 @@ def check_F1_standard_form(op: DriftDiffusionOperator, R: float, pair_samples=No
         gap = op(y, p, Y) - op(x, p, X)
         dists.append(d)
         normalized.append(max(gap, 0.0) / (d + d**2 / eps))
-    edges, values = binned_max(dists, normalized, bins)
+    edges, values = binned_max(dists, normalized)
     filled = [v for v in values if not np.isnan(v)]
     passed = all(v <= c_est * 1.1 + tol for v in filled)
     return ModulusReport(

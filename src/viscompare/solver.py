@@ -46,6 +46,7 @@ from .problems import closed_forms
 from .residual import manufactured_rhs, verify_solution  # noqa: F401  (re-exported)
 
 MAX_ITERS = 200  # Newton / Howard iteration cap per solve
+ORDER_TOL = 1e-8  # comparison_check: allowed negative gap between ordered solutions
 
 
 class MonotonicityError(ValueError):
@@ -418,9 +419,8 @@ class ComparisonReport:
         }
 
 
-def comparison_check(problem, box: Box, h: float, f_low, f_high,
-                     boundary_low, boundary_high, config: SchemeConfig | None = None,
-                     order_tol: float = 1e-8) -> ComparisonReport:
+def comparison_check(problem, box: Box, h: float, f_low, f_high, boundary_low, boundary_high,
+                     config: SchemeConfig | None = None) -> ComparisonReport:
     """Solve the ordered data pair and assert nodewise solution ordering.
 
     Preconditions f_low <= f_high and boundary_low <= boundary_high are
@@ -440,7 +440,7 @@ def comparison_check(problem, box: Box, h: float, f_low, f_high,
     sol_high, rep_high = solve(problem, box, h, boundary_high, config, f_values=f_high)
     gap = sol_high.values - sol_low.values
     min_gap = float(gap.min())
-    ordered = min_gap >= -order_tol
+    ordered = min_gap >= -ORDER_TOL
     witness = None
     if not ordered:
         flat = int(np.argmin(gap))

@@ -21,6 +21,8 @@ from .operators import DriftDiffusionOperator, ExtremalOperator, canonical_extre
 from .problems import ProblemSpec
 from .solver import Box, DiscreteOperator, SchemeConfig, solve
 
+MAX_SWEEPS = 50  # Gauss-Seidel sweep cap per system solve
+
 
 @dataclass(frozen=True)
 class SystemComponent:
@@ -163,8 +165,7 @@ class SystemSolveReport:
 
 
 def solve_system(system: MonotoneSystem, box: Box, h: float, boundary_per_k,
-                 config: SchemeConfig | None = None, max_sweeps: int = 50,
-                 tol: float | None = None):
+                 config: SchemeConfig | None = None):
     """Gauss-Seidel over components with the coupling frozen per inner solve.
 
     Each inner solve is the scalar solver on component k with the coupling
@@ -176,7 +177,6 @@ def solve_system(system: MonotoneSystem, box: Box, h: float, boundary_per_k,
     inner solves' own residual level.
     """
     config = config or SchemeConfig()
-    tol = config.tol_residual if tol is None else tol
     problems = [system.scalar_problem(k) for k in range(system.m)]
     discs = [DiscreteOperator(problems[k], box, h) for k in range(system.m)]
     sl = tuple(slice(1, -1) for _ in discs[0].shape)
@@ -206,7 +206,7 @@ def solve_system(system: MonotoneSystem, box: Box, h: float, boundary_per_k,
     sweep_residuals = []
     converged = False
     sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
+    for sweeps in range(1, MAX_SWEEPS + 1):
         for k in range(system.m):
             if system.components[k].coupling is None:
                 f_over = None
@@ -219,7 +219,7 @@ def solve_system(system: MonotoneSystem, box: Box, h: float, boundary_per_k,
             reports[k] = rep
         res = live_residual()
         sweep_residuals.append(res)
-        if res <= max(tol, 2.0 * max(r.final_residual_norm for r in reports)):
+        if res <= max(config.tol_residual, 2.0 * max(r.final_residual_norm for r in reports)):
             converged = True
             break
     report = SystemSolveReport(

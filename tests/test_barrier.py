@@ -15,9 +15,10 @@ from viscompare.barrier import (
     linear_case_barrier,
     system_extremal_residual,
     verify_strict,
+    window_points,
 )
 from viscompare.fields import as_point
-from viscompare.growth import bracket, classify_growth
+from viscompare.growth import DEFAULT_RADII, bracket, bracket_power_derivatives, classify_growth
 from viscompare.hamiltonians import PowerHamiltonian
 from viscompare.operators import DriftDiffusionOperator
 from viscompare.problems import ProblemSpec, eq12, eq12_solutions, eq13, ex2, hje3
@@ -342,3 +343,102 @@ def test_strictness_report_keeps_residuals_out_of_the_report():
     assert "residuals" not in rep.to_json_dict()
     assert "residuals" not in repr(rep)
     assert dataclasses.replace(rep, residuals=None) == rep
+
+
+# The residual arrays are pinned against the pointwise reference
+# (eval_barrier / extremal_residual, bracket_power_derivatives) bit for bit.
+
+def diagonal_drift_2d():
+    # non-constant diagonal sigma and linear drift: SG_1, so relaxed
+    op = DriftDiffusionOperator(
+        sigma=lambda x: np.diag([1.0 + 0.5 * np.sin(x[0]), 0.8 + 0.3 * np.cos(x[1])]),
+        b=lambda x: np.array([0.3 * x[0] - 0.1, -0.2 * x[1]]), N=2)
+    return ProblemSpec(N=2, lam=1.5, operator=op,
+                       hamiltonian=PowerHamiltonian(A=np.eye(2), q=2.0),
+                       q=2.0, f=lambda x: 0.5 + 0.1 * x[0], C0=1.0)
+
+
+def mesh_2d(radius, n=20):
+    ax = np.linspace(-radius, radius, n)
+    return np.array([[a, b] for a in ax for b in ax])
+
+
+@pytest.mark.parametrize("problem, relaxed", [
+    (eq13(1.0, q, f=lambda x: bracket(x), N=N), False) for N in (1, 2) for q in (1.5, 2.0, 3.0)
+] + [(diagonal_drift_2d(), True)])
+def test_verify_strict_residuals_equal_pointwise_reference(problem, relaxed):
+    window = Window(radius=50.0, nodes=401)
+    grid = np.linspace(-50.0, 50.0, 401) if problem.N == 1 else mesh_2d(50.0)
+    for mu in (0.5, 0.9):
+        params = construct_barrier(problem, mu, window, relaxed=relaxed)
+        rep = verify_strict(problem, params, grid)
+        pts = grid.reshape(len(grid), -1)
+        want = np.array([extremal_residual(problem, params, *eval_barrier(params, x), x)
+                         for x in pts])
+        assert np.array_equal(rep.residuals, want)
+
+
+@pytest.mark.parametrize("problem", [
+    ProblemSpec(N=1, lam=0.7, q=2.0, hamiltonian=None, f=0.0, operator=DriftDiffusionOperator(
+        sigma=lambda x: np.array([[np.sqrt(1.0 + x[0] ** 2)]]),
+        b=lambda x: np.array([0.5 * x[0]]), N=1)),
+    ProblemSpec(N=2, lam=3.0, q=1.5, hamiltonian=None, f=0.0, operator=DriftDiffusionOperator(
+        sigma=lambda x: np.diag([np.sqrt(1.0 + x[0] ** 2), 1.0]),
+        b=lambda x: np.array([x[0], -0.5 * x[1]]), N=2)),
+])
+def test_linear_case_residuals_equal_pointwise_formula(problem):
+    window = Window(radius=20.0, nodes=401)
+    bar, rep = linear_case_barrier(problem, window)
+    want = []
+    for x in window_points(window, problem.N):
+        grad, hess = bracket_power_derivatives(x, bar.q_prime)
+        value = bar.C1 + bar.alpha * bracket(x) ** bar.q_prime
+        gnorm = float(np.linalg.norm(bar.alpha * grad))
+        want.append(bar.lam * value + problem.P(x, bar.alpha * hess) - problem.b0_at(x) * gnorm)
+    assert np.array_equal(rep.residuals, want)
+
+
+def nan_on_interval(x):
+    return 0.5 < x[0] < 5.0
+
+
+@pytest.mark.parametrize("problem", [
+    eq13(1.0, 2.0, f=lambda x: float("nan") if nan_on_interval(x) else 0.0),
+    ProblemSpec(N=1, lam=1.0, q=2.0, f=0.0, C0=1.0,
+                hamiltonian=PowerHamiltonian(A=np.eye(1), q=2.0),
+                operator=DriftDiffusionOperator(
+                    sigma=lambda x: np.full((1, 1), np.nan if nan_on_interval(x) else 1.0),
+                    b=np.zeros(1), N=1)),
+], ids=["f", "sigma"])
+def test_nan_data_inside_the_window_skip_the_constants_and_fail_strictness(problem):
+    # the growth shells sit at |x| >= 10, so the NaN interval passes growth;
+    # the constant estimates skip NaN entries and strictness fails at the
+    # first NaN node of the default 4001-node verification window
+    params = construct_barrier(problem, 0.9, Window(radius=1.0e3, nodes=2001))
+    assert params.to_json_dict() == {
+        "mu": 0.9, "q": 2.0, "q_prime": 2.0, "lam": 1.0, "C0": 1.0, "C0_prime": 8.0,
+        "eps": 0.25, "eps_prime": 1.0 / 128.0, "C_eps": 1.0, "C_eps_prime": 0.0,
+        "alpha": 1.0 / 32.0, "C1": 2.0, "beta_mu": params.beta_mu, "window_radius": 1.0e3,
+    }
+    assert params.beta_mu == beta_mu(0.9, 2.0, 1.0)
+    rep = verify_strict(problem, params).to_json_dict()
+    assert np.isnan(rep.pop("min_residual"))
+    assert rep == {"argmin": [1.0], "passed": False, "grid_size": 4001, "window_radius": 1.0e3}
+
+
+def test_lambda0_ladder_samples_the_window_once():
+    # sigma is evaluated once per window point for the whole 7-rung ladder,
+    # plus the growth check's shell samples (two directions per radius in 1-d)
+    calls = []
+
+    def sigma(x):
+        calls.append(x)
+        return np.eye(1)
+
+    op = DriftDiffusionOperator(sigma=sigma, b=lambda x: as_point(x), N=1)
+    problem = ProblemSpec(N=1, lam=1.0, operator=op,
+                          hamiltonian=PowerHamiltonian(A=np.eye(1), q=2.0),
+                          q=2.0, f=0.0, C0=1.0)
+    rep = lambda0_for_SG(problem, 0.9, WINDOW)
+    assert rep.lambda0 == 4.0 and len(rep.rungs) == 7
+    assert len(calls) == WINDOW.nodes + 2 * len(DEFAULT_RADII)

@@ -308,3 +308,37 @@ def test_builtin_example1_missing_sigma_is_parse_error(tmp_path, capsys):
     })
     assert main(["check-hypotheses", scn, "--out", str(tmp_path / "o")]) == EXIT_PARSE
     assert capsys.readouterr().err.strip() == "PARSE_ERROR: problem spec missing field 'sigma'"
+
+
+def test_system_solve_trace_boundary_is_parse_error(tmp_path, capsys):
+    scn = write_scenario(tmp_path, "s.json", {
+        "id": "sys", "system": {"builtin": "system2"}, "grid": grid_spec(2.0, 0.1),
+        "boundaries": [{"trace": "u1"}, 0.0],
+    })
+    assert main(["system-solve", scn, "--out", str(tmp_path / "o")]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("PARSE_ERROR: a trace boundary needs")
+
+
+@pytest.mark.parametrize("cmd, scenario, key", [
+    ("solve", {"problem": {"builtin": "eq13", "lambda": "one"}, "grid": grid_spec()}, "lambda"),
+    ("check-hypotheses", {"problem": {"builtin": "eq13", "lambda": "one"}}, "lambda"),
+    ("check-hypotheses", {"problem": {"builtin": "eq13", "N": "two"}}, "N"),
+    ("check-hypotheses", {"problem": {"builtin": "eq13", "q": None}}, "q"),
+    ("check-hypotheses", {"problem": {"N": 1, "lambda": 1.0, "sigma": [[1.0]], "b": [0.0],
+                                      "hamiltonian": {"type": "power", "A": [[1.0]]},
+                                      "C0": "big"}}, "C0"),
+    ("solve", {"problem": {"builtin": "eq13"}, "grid": {**grid_spec(), "h": "x"}}, "h"),
+    ("solve", {"problem": {"builtin": "eq13"},
+               "grid": {"box": {"center": ["x"], "half_width": [1.0]}, "h": 0.1}}, "center"),
+    ("solve", {"problem": {"builtin": "eq13"}, "grid": grid_spec(),
+               "boundary": {"value": "x"}}, "value"),
+    ("verify-classical", {"problem": {"builtin": "hje3", "t": "one"}}, "t"),
+    ("nonuniqueness", {"problem": {"builtin": "eq12", "lambda": [1]}, "grid": grid_spec()},
+     "lambda"),
+    ("system-solve", {"system": {"builtin": "system2", "c": "half"}, "grid": grid_spec()}, "c"),
+])
+def test_malformed_scenario_number_is_parse_error_naming_the_key(tmp_path, capsys, cmd,
+                                                                 scenario, key):
+    scn = write_scenario(tmp_path, "s.json", {"id": "bad", **scenario})
+    assert main([cmd, scn, "--out", str(tmp_path / "o")]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith(f"PARSE_ERROR: {key!r} must be a number")

@@ -5,6 +5,7 @@ traced name breaks the traced benchmark run.  These tests install and
 uninstall it in-process, so the same rename fails here first.
 """
 
+import contextlib
 import importlib
 import importlib.util
 import json
@@ -31,7 +32,10 @@ def resolve(modname, attr):
     return owner.__dict__[name]
 
 
-def test_tracer_wraps_every_target_and_uninstalls(tmp_path):
+@contextlib.contextmanager
+def installed_tracer():
+    """A Tracer installed for the block; afterwards every target must be
+    its original again."""
     layers = load_layers()
     originals = {(m, a): resolve(m, a) for m, a, _, _ in layers.TARGETS}
     tracer = layers.Tracer()
@@ -39,6 +43,15 @@ def test_tracer_wraps_every_target_and_uninstalls(tmp_path):
         tracer.install()
         for (modname, attr), original in originals.items():
             assert resolve(modname, attr).__wrapped__ is original, attr
+        yield tracer
+    finally:
+        tracer.uninstall()
+    for (modname, attr), original in originals.items():
+        assert resolve(modname, attr) is original, attr
+
+
+def test_tracer_wraps_every_target_and_uninstalls(tmp_path):
+    with installed_tracer() as tracer:
         # verify-classical certifies two candidates on 801 points each and
         # writes its CSVs from those residuals, without evaluating them again
         scn = tmp_path / "eq12.json"
@@ -53,7 +66,20 @@ def test_tracer_wraps_every_target_and_uninstalls(tmp_path):
         parses = tracer.stats["cli.parse"][0]
         viscompare.cli.build_problem({"builtin": "eq13", "f": {"name": "one"}})
         assert tracer.stats["cli.parse"][0] == parses + 2
-    finally:
-        tracer.uninstall()
-    for (modname, attr), original in originals.items():
-        assert resolve(modname, attr) is original, attr
+
+
+def test_traced_barrier_ladder_counts_its_rungs(tmp_path):
+    with installed_tracer() as tracer:
+        scn = tmp_path / "hje3.json"
+        scn.write_text(json.dumps({
+            "id": "hje3", "problem": {"builtin": "hje3", "lambda": 1.0, "t": 1.0},
+            "window": [10.0, 100.0, 1000.0], "mu": [0.9],
+        }))
+        code = viscompare.cli.main(["barrier", str(scn), "--out", str(tmp_path / "o")])
+        assert code == viscompare.cli.EXIT_OK
+        # the strict construction is refused, then the traced ladder runs
+        # seven rungs (lambda0 = 4) on one window sample
+        assert tracer.stats["barrier.construct"][0] == 1
+        assert tracer.stats["barrier.ladder"][0] == 1
+        assert tracer.counts["barrier.ladder_rungs"] == 7
+        assert tracer.counts["barrier.rungs_passed"] == 1
