@@ -4,7 +4,8 @@ Each case runs one subcommand on a fixed scenario and compares, byte for
 byte, the report.json and every residual_*.csv it writes with the committed
 fixtures in tests/golden/ (`<case>.report.json`, `<case>.<csv name>`).  The
 refusal cases pin the exit code of scenarios the CLI must reject as parse
-errors.  A change that is meant to move the numbers regenerates the
+errors, and the library refusals also their stderr line
+(`<case>.stderr`).  A change that is meant to move the numbers regenerates the
 fixtures with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -12,13 +13,15 @@ fixtures with
 and records why they moved.
 """
 
+import contextlib
+import io
 import json
 import sys
 from pathlib import Path
 
 import pytest
 
-from viscompare.cli import EXIT_OK, EXIT_PARSE, main
+from viscompare.cli import EXIT_OK, EXIT_PARSE, EXIT_SOLVER, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 WINDOW = [10.0, 100.0, 1000.0]
@@ -55,6 +58,10 @@ SOLVER_CASES = [
     ("system_solve_mean", "system-solve",
      {"system": {"builtin": "system2", "coupling": "mean", "c": 0.5},
       "grid": _grid([0.0], [2.0], 0.1)}),
+    # nonzero boundaries: eleven coupled Gauss-Seidel sweeps
+    ("system_solve_mean_boundaries", "system-solve",
+     {"system": {"builtin": "system2", "coupling": "mean", "c": 0.5},
+      "grid": _grid([0.0], [2.0], 0.1), "boundaries": [0.2, -0.3]}),
     ("solve_custom_power_2d", "solve",
      {"problem": {
          "N": 2, "lambda": 1.0, "q": 2.0,
@@ -119,6 +126,14 @@ REFUSALS = [
      {"problem": {"builtin": "eq13"}, "grid": _grid([0.0], [1.0], 0.1)}),
 ]
 
+# (case name, subcommand, scenario) that must exit with EXIT_SOLVER, print
+# the committed stderr and write no report
+SOLVER_REFUSALS = [
+    # the first mu passes; the second is outside (0, 1)
+    ("barrier_mu_out_of_range", "barrier",
+     {"problem": {"builtin": "eq13", "lambda": 1.0}, "window": WINDOW, "mu": [0.9, 1.5]}),
+]
+
 
 def run_case(name, cmd, scenario, workdir: Path):
     path = workdir / f"{name}.json"
@@ -155,6 +170,15 @@ def test_refusal_exit_code(name, cmd, scenario, tmp_path, capsys):
     assert not (outdir / "report.json").exists()
 
 
+@pytest.mark.parametrize("name,cmd,scenario", SOLVER_REFUSALS,
+                         ids=[c[0] for c in SOLVER_REFUSALS])
+def test_solver_refusal_matches_golden(name, cmd, scenario, tmp_path, capsys):
+    code, outdir = run_case(name, cmd, scenario, tmp_path)
+    assert code == EXIT_SOLVER
+    assert capsys.readouterr().err == (GOLDEN_DIR / f"{name}.stderr").read_text()
+    assert not (outdir / "report.json").exists()
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -167,3 +191,11 @@ if __name__ == "__main__":
             for fixture, path in written_files(name, outdir).items():
                 (GOLDEN_DIR / fixture).write_bytes(path.read_bytes())
                 print(f"wrote {fixture}", file=sys.stderr)
+        for name, cmd, scenario in SOLVER_REFUSALS:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code, _ = run_case(name, cmd, scenario, Path(tmp))
+            if code != EXIT_SOLVER:
+                raise SystemExit(f"{cmd} {name} exited with {code}")
+            (GOLDEN_DIR / f"{name}.stderr").write_text(err.getvalue())
+            print(f"wrote {name}.stderr", file=sys.stderr)
