@@ -16,18 +16,22 @@ eps' = lam*alpha/4, and window estimates of the growth constants C_eps
 
     C1 = lam^-1 [C_eps' + max{C_eps <x>^(q'-2) : <x> <= 4 C_eps / lam}] + 1.
 
-sigma0, b0 and f do not depend on lam, so each point set is sampled once
-(_Sample); C_eps, C_eps' and the strictness residuals are array expressions
-over the sample, bit-identical to the pointwise eval_barrier and
-extremal_residual.  Strictness is always re-verified numerically on the
-window grid (verify_strict); for coefficients with merely bounded relative
-linear growth the same construction closes only for large lam, found by a
-doubling ladder (lambda0_for_SG) on one window sample.  All constants are
-window estimates and every report carries the window.
+sigma0, b0 and f depend on neither lam nor mu, so each point set is
+sampled once (_Sample); C_eps, C_eps' and the strictness residuals are array
+expressions over the sample, bit-identical to the pointwise eval_barrier and
+extremal_residual.  BarrierParams carries the window it was built on and
+that sample: verify_strict re-verifies strictness numerically on the same
+nodes, reusing the sample for the same problem data, and
+BarrierParams.with_mu gives the construction at another mu without
+sampling again.  For coefficients with merely bounded relative linear
+growth the same construction closes only for large lam, found by a doubling
+ladder (lambda0_for_SG) on one window sample.  All constants are window
+estimates and every report carries the window.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,6 +84,10 @@ class BarrierParams:
     C1: float
     beta_mu: float
     window_radius: float
+    # the window the constants were estimated on and its sample, carried so
+    # that verify_strict checks the same nodes; not part of the report
+    window: Window = field(default=None, init=False, repr=False, compare=False)
+    sample: _Sample = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         slack = 1e-12
@@ -95,6 +103,17 @@ class BarrierParams:
             raise ValueError("C1 below C_eps'/lam + 1")
         if not self.beta_mu > 0:
             raise ValueError("beta_mu must be positive")
+
+    def with_mu(self, mu: float) -> "BarrierParams":
+        """The same construction at another mu: only mu and beta_mu depend
+        on it, and the window and its sample are carried over."""
+        out = dataclasses.replace(self, mu=mu, beta_mu=beta_mu(mu, self.q, self.C0))
+        out._carry(self.window, self.sample)
+        return out
+
+    def _carry(self, window, sample):
+        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "sample", sample)
 
     def to_json_dict(self) -> dict:
         return {k: float(getattr(self, k)) for k in (
@@ -172,6 +191,7 @@ class _Sample:
         s0, b0, f = zip(*[(ext.sigma0_at(x), ext.b0_at(x), problem.f_at(x)) for x in pts])
         s0 = np.array(s0)
         sq = _row_dots(pts)
+        self.extremal, self.f_field = ext, problem.f
         self.pts = pts
         self.norms = np.sqrt(sq)          # |x|
         self.bracket = np.sqrt(1.0 + sq)  # <x>
@@ -182,6 +202,10 @@ class _Sample:
         s0_norm = np.abs(np.linalg.eigvalsh(0.5 * (s0 + s0.swapaxes(1, 2)))).max(axis=1)
         b0_abs = np.abs(self.b0)
         self.coeff = np.where(b0_abs > s0_norm, b0_abs, s0_norm)
+
+    def of(self, problem) -> bool:
+        """Whether problem has the sampled data (with_lambda keeps them)."""
+        return problem.extremal is self.extremal and problem.f is self.f_field
 
 
 def _excess(values: np.ndarray) -> float:
@@ -221,11 +245,10 @@ def construct_barrier(problem, mu: float, window: Window, relaxed: bool = False)
             "problem has no gradient term; use linear_case_barrier instead"
         )
     _require_growth(problem, relaxed)
-    return _barrier_params(problem, mu, window.radius,
-                           _Sample(problem, window_points(window, problem.N)))
+    return _barrier_params(problem, mu, window, _Sample(problem, window_points(window, problem.N)))
 
 
-def _barrier_params(problem, mu: float, window_radius: float, sample: _Sample) -> BarrierParams:
+def _barrier_params(problem, mu: float, window: Window, sample: _Sample) -> BarrierParams:
     lam, q = problem.lam, problem.q
     q_prime = problem.q_prime
     C0 = problem.C0
@@ -249,12 +272,14 @@ def _barrier_params(problem, mu: float, window_radius: float, sample: _Sample) -
     else:
         peak = C_eps
     C1 = (C_eps_prime + peak) / lam + 1.0
-    return BarrierParams(
+    params = BarrierParams(
         mu=mu, q=q, q_prime=q_prime, lam=lam, C0=C0, C0_prime=C0_prime,
         eps=eps, eps_prime=eps_prime, C_eps=C_eps, C_eps_prime=C_eps_prime,
         alpha=alpha, C1=C1, beta_mu=beta_mu(mu, q, C0),
-        window_radius=window_radius,
+        window_radius=window.radius,
     )
+    params._carry(window, sample)
+    return params
 
 
 def eval_barrier(params: BarrierParams, x):
@@ -318,10 +343,17 @@ def _strictness(residuals, pts: np.ndarray, window_radius: float) -> StrictnessR
 
 def verify_strict(problem, params: BarrierParams, grid=None) -> StrictnessReport:
     """Minimum extremal residual of the barrier over the grid (default: the
-    params' window); pass iff every residual is finite and > 0."""
-    pts = (window_points(Window(params.window_radius), problem.N) if grid is None
-           else as_points(grid, problem.N))
-    return _verify(problem, params, _Sample(problem, pts))
+    nodes of the window the params were built on); pass iff every residual
+    is finite and > 0.  Without a grid, the params' own sample is reused when
+    problem has the sampled extremal data and f."""
+    if grid is not None:
+        sample = _Sample(problem, as_points(grid, problem.N))
+    elif params.sample is not None and params.sample.of(problem):
+        sample = params.sample
+    else:
+        window = params.window or Window(params.window_radius)
+        sample = _Sample(problem, window_points(window, problem.N))
+    return _verify(problem, params, sample)
 
 
 def _verify(problem, params: BarrierParams, sample: _Sample) -> StrictnessReport:
@@ -352,7 +384,7 @@ def lambda0_for_SG(problem, mu: float, window: Window) -> Lambda0Report:
         if linear:
             _, rep = _linear_barrier(prob, window.radius, sample)
         else:
-            rep = _verify(prob, _barrier_params(prob, mu, window.radius, sample), sample)
+            rep = _verify(prob, _barrier_params(prob, mu, window, sample), sample)
         rungs.append((lam, rep.passed, rep.min_residual))
         if rep.passed:
             return Lambda0Report(lam, mu, window.radius, tuple(rungs))

@@ -88,6 +88,19 @@ def _number(value, key: str, cast=float):
         raise ScenarioError(f"{key!r} must be a number, got {value!r}") from exc
 
 
+def _numbers(values, key: str) -> list:
+    """A scenario list of numbers, each through _number."""
+    if not isinstance(values, (list, tuple)):
+        raise ScenarioError(f"{key!r} must be a list of numbers, got {values!r}")
+    return [_number(v, key) for v in values]
+
+
+def _window(scn: dict, default=None):
+    """The scenario's growth radii as floats, else default."""
+    radii = scn.get("window", default)
+    return None if radii is None else _numbers(radii, "window")
+
+
 def _parse_field(parser, spec, dim, what):
     try:
         return parser(spec, dim)
@@ -171,9 +184,12 @@ def parse_grid(scn: dict, h_flag: float | None):
     grid = scn.get("grid")
     if grid is None:
         raise ScenarioError("scenario has no grid spec")
-    box = solver_mod.Box(*([_number(v, key) for v in np.atleast_1d(grid["box"][key]).tolist()]
-                           for key in ("center", "half_width")))
-    h = h_flag if h_flag is not None else _number(grid["h"], "h")
+    try:
+        box = solver_mod.Box(*([_number(v, key) for v in np.atleast_1d(grid["box"][key]).tolist()]
+                               for key in ("center", "half_width")))
+        h = h_flag if h_flag is not None else _number(grid["h"], "h")
+    except KeyError as exc:
+        raise ScenarioError(f"grid spec missing field {exc.args[0]!r}") from exc
     return box, h
 
 
@@ -393,7 +409,7 @@ def check_hypotheses(problem_or_system, window_radii=None) -> dict:
 
 def cmd_check_hypotheses(scn, args, outdir):
     target = build_system(scn["system"]) if "system" in scn else build_problem(scn["problem"])
-    report = check_hypotheses(target, scn.get("window"))
+    report = check_hypotheses(target, _window(scn))
     write_report(outdir, {"id": scn.get("id", ""), **report})
     print(report["verdict"])
     return EXIT_OK, []
@@ -401,7 +417,7 @@ def cmd_check_hypotheses(scn, args, outdir):
 
 def cmd_classify_growth(scn, args, outdir):
     problem = build_problem(scn["problem"])
-    radii = scn.get("window")
+    radii = _window(scn)
     f_rep = growth_mod.classify_growth(problem.f_at, problem.q_prime,
                                        radii=radii, dim=problem.N)
     coeffs = check_F3_F4_growth(problem.extremal, radii=radii, dim=problem.N)
@@ -425,15 +441,22 @@ def cmd_classify_growth(scn, args, outdir):
 
 def cmd_barrier(scn, args, outdir):
     problem = build_problem(scn["problem"])
-    radii = scn.get("window", growth_mod.DEFAULT_RADII)
-    window = barrier_mod.Window(radius=float(max(radii)), nodes=4001)
-    mus = args.mu or scn.get("mu", [0.5, 0.9, 0.99])
+    window = barrier_mod.Window(radius=max(_window(scn, growth_mod.DEFAULT_RADII)), nodes=4001)
+    mus = args.mu or _numbers(scn.get("mu", [0.5, 0.9, 0.99]), "mu")
     per_mu = []
     csvs = []
+    # the growth precondition and the window sample do not depend on mu: the
+    # first mu constructs, the others only change mu and beta_mu
+    params = refusal = None
     for mu in mus:
         entry = {"mu": mu}
-        try:
-            params = barrier_mod.construct_barrier(problem, mu, window)
+        if refusal is None:
+            try:
+                params = (barrier_mod.construct_barrier(problem, mu, window) if params is None
+                          else params.with_mu(mu))
+            except barrier_mod.BarrierPreconditionError as exc:
+                refusal = exc
+        if refusal is None:
             rep = barrier_mod.verify_strict(problem, params)
             entry["mode"] = "strict"
             entry["params"] = params.to_json_dict()
@@ -442,15 +465,14 @@ def cmd_barrier(scn, args, outdir):
             if not rep.passed:
                 raise PredicateFailure("barrier strictness (min grid residual > 0)", entry)
             if not csvs:
-                csvs.append(("residual_barrier.csv",
-                             barrier_mod.window_points(window, problem.N), rep.residuals))
-        except barrier_mod.BarrierPreconditionError as exc:
+                csvs.append(("residual_barrier.csv", params.sample.pts, rep.residuals))
+        else:
             lrep = barrier_mod.lambda0_for_SG(problem, mu, window)
             entry["mode"] = "relaxed"
-            entry["refusal"] = str(exc)
+            entry["refusal"] = str(refusal)
             entry["lambda0"] = lrep.to_json_dict()
             if lrep.lambda0 is None:
-                raise PredicateFailure("lambda0 ladder exhausted", entry) from exc
+                raise PredicateFailure("lambda0 ladder exhausted", entry) from refusal
         per_mu.append(entry)
     write_report(outdir, {"id": scn.get("id", ""), "per_mu": per_mu})
     return EXIT_OK, csvs

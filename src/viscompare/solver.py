@@ -23,7 +23,10 @@ range with a 1.2 safety factor and recorded in the report.
 The coefficients are evaluated once per grid: DiscreteOperator samples the
 diffusion, the drift and the Hamiltonian's coefficient fields at the
 interior nodes when it is built (hamiltonians.on_grid), and every
-iteration evaluates H and dH/dxi as whole arrays over the nodes.
+iteration evaluates H and dH/dxi as whole arrays over the nodes.  solve
+builds one operator and runs the iteration (_solve) on it; comparison_check,
+nonuniqueness_demo and systems.solve_system build one operator per grid and
+run all of their solves on it.
 
 Truncation replaces behavior at infinity by Dirichlet data; choosing
 boundary traces of candidate solutions with different growth tells the
@@ -321,12 +324,21 @@ def solve(problem, box: Box, h: float, boundary, config: SchemeConfig | None = N
     MonotonicityError when a user-fixed lf is below the required slope
     bound.
     """
-    config = config or SchemeConfig()
     disc = DiscreteOperator(problem, box, h)
+    f_int = _field_on_interior(disc, f_values)
+    return _solve(disc, _boundary_values(disc, boundary), f_int, config)
+
+
+def _solve(disc: DiscreteOperator, u_boundary: np.ndarray, f_int: np.ndarray,
+           config: SchemeConfig | None):
+    """solve on a built operator: u_boundary is a grid array whose boundary
+    nodes hold the Dirichlet data (it is not modified), f_int the interior
+    right-hand side."""
+    config = config or SchemeConfig()
+    problem = disc.problem
     t0 = time.perf_counter()
 
-    f_int = _field_on_interior(disc, f_values)
-    u = _boundary_values(disc, boundary)
+    u = u_boundary.copy()
     sl = tuple(slice(1, -1) for _ in disc.shape)
     u[sl] = (f_int / problem.lam).reshape(disc.int_shape)
     # warm start on the gradient-term-free linearization: brings the iterate
@@ -424,8 +436,9 @@ def comparison_check(problem, box: Box, h: float, f_low, f_high, boundary_low, b
     """Solve the ordered data pair and assert nodewise solution ordering.
 
     Preconditions f_low <= f_high and boundary_low <= boundary_high are
-    validated nodewise; a violation of the output ordering indicates a
-    monotonicity breach and is reported with the witness node.
+    validated nodewise on one grid operator, and both solves use the same
+    operator and the validated data; a violation of the output ordering
+    indicates a monotonicity breach and is reported with the witness node.
     """
     disc = DiscreteOperator(problem, box, h)
     fl = _field_on_interior(disc, f_low)
@@ -436,8 +449,8 @@ def comparison_check(problem, box: Box, h: float, f_low, f_high, boundary_low, b
     bh = _boundary_values(disc, boundary_high)
     if np.any(bl > bh + 1e-12):
         raise ValueError("boundary_low must be <= boundary_high nodewise")
-    sol_low, rep_low = solve(problem, box, h, boundary_low, config, f_values=f_low)
-    sol_high, rep_high = solve(problem, box, h, boundary_high, config, f_values=f_high)
+    sol_low, rep_low = _solve(disc, bl, fl, config)
+    sol_high, rep_high = _solve(disc, bh, fh, config)
     gap = sol_high.values - sol_low.values
     min_gap = float(gap.min())
     ordered = min_gap >= -ORDER_TOL
@@ -553,18 +566,21 @@ class NonuniquenessReport:
 
 def nonuniqueness_demo(example_id: str, box: Box, h: float, lam: float = 1.0,
                        t: float = -1.0, config: SchemeConfig | None = None) -> NonuniquenessReport:
-    """Solve with the boundary traces of both closed-form solutions.
+    """Solve with the boundary traces of both closed-form solutions, on one
+    grid operator.
 
     Each branch converges to its trace's solution; growth classification of
     the closed forms shows exactly one branch lies in the uniqueness class
     (vanishing order-q' relative growth).
     """
     problem, cands = closed_forms(example_id, lam, t)
+    disc = DiscreteOperator(problem, box, h)
+    f_int = _field_on_interior(disc, None)
     branches = []
     solutions = []
     cert_grid = np.linspace(-10.0, 10.0, 801)
     for cand in cands:
-        sol, _ = solve(problem, box, h, lambda x, c=cand: c.val(x), config)
+        sol, _ = _solve(disc, _boundary_values(disc, lambda x, c=cand: c.val(x)), f_int, config)
         exact = np.array([cand.val(x) for x in sol.points()]).reshape(sol.values.shape)
         rep = verify_solution(problem, cand, cert_grid)
         grep = growth_mod.classify_growth(lambda x, c=cand: c.val(x), problem.q_prime,

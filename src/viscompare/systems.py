@@ -19,7 +19,7 @@ from .fields import as_point
 from .hamiltonians import CheckReport, PowerHamiltonian, sampled_homogeneity
 from .operators import DriftDiffusionOperator, ExtremalOperator, canonical_extremal
 from .problems import ProblemSpec
-from .solver import Box, DiscreteOperator, SchemeConfig, solve
+from .solver import Box, DiscreteOperator, SchemeConfig, _boundary_values, _solve
 
 MAX_SWEEPS = 50  # Gauss-Seidel sweep cap per system solve
 
@@ -168,20 +168,22 @@ def solve_system(system: MonotoneSystem, box: Box, h: float, boundary_per_k,
                  config: SchemeConfig | None = None):
     """Gauss-Seidel over components with the coupling frozen per inner solve.
 
-    Each inner solve is the scalar solver on component k with the coupling
+    Each component's grid operator, boundary array and right-hand side are
+    built once, before the first sweep, and every inner solve reuses them.
+    An inner solve is the scalar solver on component k with the coupling
     evaluated at the current iterates (all-zero before the first sweep) and
-    moved to the right-hand side; uncoupled components take the untouched
-    scalar path (identical float sequence to a direct solver.solve call).
+    moved to the right-hand side; uncoupled components solve with their
+    own f (identical float sequence to a direct solver.solve call).
     After every sweep the live residual, coupling included, is measured on
     the same LF scheme the inner solves used; sweeps stop once it is at the
     inner solves' own residual level.
     """
     config = config or SchemeConfig()
-    problems = [system.scalar_problem(k) for k in range(system.m)]
-    discs = [DiscreteOperator(problems[k], box, h) for k in range(system.m)]
+    discs = [DiscreteOperator(system.scalar_problem(k), box, h) for k in range(system.m)]
     sl = tuple(slice(1, -1) for _ in discs[0].shape)
     f_int = [np.array([system.f_at(k, x) for x in discs[k].points_int])
              for k in range(system.m)]
+    u_boundary = [_boundary_values(discs[k], boundary_per_k[k]) for k in range(system.m)]
 
     values = [np.zeros(discs[k].shape) for k in range(system.m)]
     fields = [None] * system.m
@@ -208,12 +210,10 @@ def solve_system(system: MonotoneSystem, box: Box, h: float, boundary_per_k,
     sweeps = 0
     for sweeps in range(1, MAX_SWEEPS + 1):
         for k in range(system.m):
-            if system.components[k].coupling is None:
-                f_over = None
-            else:
-                f_over = f_int[k] - coupling_int(k)
-            sol, rep = solve(problems[k], box, h, boundary_per_k[k], config,
-                             f_values=f_over)
+            rhs = f_int[k]
+            if system.components[k].coupling is not None:
+                rhs = rhs - coupling_int(k)
+            sol, rep = _solve(discs[k], u_boundary[k], rhs, config)
             values[k] = sol.values
             fields[k] = sol
             reports[k] = rep

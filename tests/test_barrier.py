@@ -413,7 +413,7 @@ def nan_on_interval(x):
 def test_nan_data_inside_the_window_skip_the_constants_and_fail_strictness(problem):
     # the growth shells sit at |x| >= 10, so the NaN interval passes growth;
     # the constant estimates skip NaN entries and strictness fails at the
-    # first NaN node of the default 4001-node verification window
+    # first NaN node of the 2001-node window the params were built on
     params = construct_barrier(problem, 0.9, Window(radius=1.0e3, nodes=2001))
     assert params.to_json_dict() == {
         "mu": 0.9, "q": 2.0, "q_prime": 2.0, "lam": 1.0, "C0": 1.0, "C0_prime": 8.0,
@@ -423,7 +423,7 @@ def test_nan_data_inside_the_window_skip_the_constants_and_fail_strictness(probl
     assert params.beta_mu == beta_mu(0.9, 2.0, 1.0)
     rep = verify_strict(problem, params).to_json_dict()
     assert np.isnan(rep.pop("min_residual"))
-    assert rep == {"argmin": [1.0], "passed": False, "grid_size": 4001, "window_radius": 1.0e3}
+    assert rep == {"argmin": [1.0], "passed": False, "grid_size": 2001, "window_radius": 1.0e3}
 
 
 def test_lambda0_ladder_samples_the_window_once():
@@ -442,3 +442,59 @@ def test_lambda0_ladder_samples_the_window_once():
     rep = lambda0_for_SG(problem, 0.9, WINDOW)
     assert rep.lambda0 == 4.0 and len(rep.rungs) == 7
     assert len(calls) == WINDOW.nodes + 2 * len(DEFAULT_RADII)
+
+
+def counting_problem(calls):
+    def sigma(x):
+        calls.append(x)
+        return np.eye(1)
+
+    op = DriftDiffusionOperator(sigma=sigma, b=np.zeros(1), N=1)
+    return ProblemSpec(N=1, lam=1.0, operator=op,
+                       hamiltonian=PowerHamiltonian(A=np.eye(1), q=2.0),
+                       q=2.0, f=0.0, C0=1.0)
+
+
+def test_construct_and_verify_sample_the_window_once():
+    # sigma0 is evaluated once per window point, plus the growth check's
+    # shell samples (two directions per radius in 1-d)
+    calls = []
+    problem = counting_problem(calls)
+    params = construct_barrier(problem, 0.9, WINDOW)
+    rep = verify_strict(problem, params)
+    assert rep.passed and rep.grid_size == WINDOW.nodes
+    # with_lambda keeps the sampled data, and so does another mu
+    verify_strict(problem.with_lambda(0.25), params)
+    verify_strict(problem, params.with_mu(0.5))
+    assert len(calls) == WINDOW.nodes + 2 * len(DEFAULT_RADII)
+
+
+def test_verify_strict_samples_other_data_on_the_params_window():
+    calls = []
+    problem = counting_problem(calls)
+    params = construct_barrier(problem, 0.9, WINDOW)
+    before = len(calls)
+    # another f: same window nodes, sampled afresh
+    rep = verify_strict(problem.with_f(lambda x: 0.0), params)
+    assert rep.grid_size == WINDOW.nodes and len(calls) == before + WINDOW.nodes
+    # an explicit grid is always sampled
+    rep = verify_strict(problem, params, grid=np.linspace(-1.0, 1.0, 11))
+    assert rep.grid_size == 11 and len(calls) == before + WINDOW.nodes + 11
+
+
+def test_params_from_a_2001_node_window_verify_on_2001_nodes():
+    params = construct_barrier(eq13(1.0), 0.9, WINDOW)
+    assert params.window == WINDOW
+    assert verify_strict(eq13(1.0), params).grid_size == 2001
+
+
+def test_with_mu_matches_a_fresh_construction_and_stays_off_the_report():
+    problem = eq13(1.0)
+    params = construct_barrier(problem, 0.9, WINDOW)
+    other = params.with_mu(0.5)
+    fresh = construct_barrier(problem, 0.5, WINDOW)
+    assert other == fresh and other.to_json_dict() == fresh.to_json_dict()
+    assert other.window is params.window and other.sample is params.sample
+    assert "window=" not in repr(params) and "sample" not in params.to_json_dict()
+    with pytest.raises(ValueError, match=r"mu must lie in \(0,1\), got 1.5"):
+        params.with_mu(1.5)

@@ -336,9 +336,32 @@ def test_system_solve_trace_boundary_is_parse_error(tmp_path, capsys):
     ("nonuniqueness", {"problem": {"builtin": "eq12", "lambda": [1]}, "grid": grid_spec()},
      "lambda"),
     ("system-solve", {"system": {"builtin": "system2", "c": "half"}, "grid": grid_spec()}, "c"),
+    ("barrier", {"problem": {"builtin": "eq13"}, "mu": ["x"]}, "mu"),
+    ("barrier", {"problem": {"builtin": "eq13"}, "window": ["x"]}, "window"),
+    ("classify-growth", {"problem": {"builtin": "eq13"}, "window": ["x"]}, "window"),
+    ("check-hypotheses", {"problem": {"builtin": "eq13"}, "window": [10.0, None]}, "window"),
 ])
 def test_malformed_scenario_number_is_parse_error_naming_the_key(tmp_path, capsys, cmd,
                                                                  scenario, key):
     scn = write_scenario(tmp_path, "s.json", {"id": "bad", **scenario})
     assert main([cmd, scn, "--out", str(tmp_path / "o")]) == EXIT_PARSE
     assert capsys.readouterr().err.startswith(f"PARSE_ERROR: {key!r} must be a number")
+
+
+@pytest.mark.parametrize("grid, key", [
+    ({"box": {"center": [0.0], "half_width": [1.0]}}, "h"),
+    ({"h": 0.1}, "box"),
+    ({"box": {"center": [0.0]}, "h": 0.1}, "half_width"),
+])
+def test_grid_missing_key_is_parse_error_naming_it(tmp_path, capsys, grid, key):
+    scn = write_scenario(tmp_path, "s.json", {"id": "bad", "problem": {"builtin": "eq13"},
+                                              "grid": grid})
+    assert main(["solve", scn, "--out", str(tmp_path / "o")]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"PARSE_ERROR: grid spec missing field {key!r}\n"
+
+
+def test_barrier_mu_list_that_is_not_a_list_is_parse_error(tmp_path, capsys):
+    scn = write_scenario(tmp_path, "s.json", {"id": "bad", "problem": {"builtin": "eq13"},
+                                              "mu": 0.5})
+    assert main(["barrier", scn, "--out", str(tmp_path / "o")]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("PARSE_ERROR: 'mu' must be a list of numbers")

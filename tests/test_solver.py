@@ -409,3 +409,35 @@ def test_assemble_matches_entrywise_reference(N):
     assert monotone
     _, broken = disc.assemble(slopes, 0.0)
     assert not broken
+
+
+def counting_sigma(calls):
+    def sigma(x):
+        calls.append(x)
+        return np.eye(1)
+    return sigma
+
+
+def test_comparison_check_samples_the_coefficients_once_per_node():
+    # one grid operator serves the order check and both solves
+    calls = []
+    op = DriftDiffusionOperator(sigma=counting_sigma(calls), b=np.zeros(1), N=1)
+    problem = ProblemSpec(N=1, lam=1.0, operator=op, hamiltonian=eq13().hamiltonian,
+                          q=2.0, f=0.0, C0=1.0)
+    rep = comparison_check(problem, Box((0.0,), (1.0,)), 0.1, lambda x: 0.0,
+                           lambda x: 0.5, 0.0, 0.25)
+    assert rep.ordered
+    assert len(calls) == 19  # the interior nodes of 21
+
+
+def test_nonuniqueness_branches_share_one_grid_operator(monkeypatch):
+    built = []
+    init = DiscreteOperator.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(DiscreteOperator, "__init__", counting_init)
+    rep = nonuniqueness_demo("eq12", Box((0.0,), (2.0,)), 0.1)
+    assert len(rep.branches) == 2 and len(built) == 1

@@ -283,3 +283,22 @@ def test_m1_reduces_to_scalar():
     fields, rep = solve_system(system, box, 0.1, [0.0])
     scalar_sol, _ = solve(problem, box, 0.1, 0.0)
     assert np.array_equal(fields[0].values, scalar_sol.values)
+
+
+def test_solve_system_samples_each_component_once_per_node():
+    # every inner solve of every sweep reuses the component's grid operator
+    calls = []
+
+    def sigma(x):
+        calls.append(x)
+        return np.eye(1)
+
+    coupled = system2(coupling="mean", c=0.5)
+    comps = tuple(
+        SystemComponent(operator=DriftDiffusionOperator(sigma=sigma, b=np.zeros(1), N=1),
+                        hamiltonian=c.hamiltonian, f=c.f, coupling=c.coupling)
+        for c in coupled.components)
+    system = MonotoneSystem(lam=1.0, q=2.0, components=comps, C0=1.0)
+    _, rep = solve_system(system, Box((0.0,), (2.0,)), 0.1, [0.2, -0.3])
+    assert rep.converged and rep.sweeps == 11
+    assert len(calls) == 2 * 39  # two components, 39 interior nodes each

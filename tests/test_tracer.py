@@ -83,3 +83,34 @@ def test_traced_barrier_ladder_counts_its_rungs(tmp_path):
         assert tracer.stats["barrier.ladder"][0] == 1
         assert tracer.counts["barrier.ladder_rungs"] == 7
         assert tracer.counts["barrier.rungs_passed"] == 1
+
+
+def test_traced_compare_builds_one_grid_operator(tmp_path):
+    with installed_tracer() as tracer:
+        scn = tmp_path / "cmp.json"
+        scn.write_text(json.dumps({
+            "id": "cmp", "problem": {"builtin": "eq13", "lambda": 1.0},
+            "grid": {"box": {"center": [0.0], "half_width": [2.0]}, "h": 0.1},
+            "f_low": {"name": "zero"}, "f_high": {"poly": {"0": 0.5}},
+            "boundary_low": 0.0, "boundary_high": 0.25,
+        }))
+        code = viscompare.cli.main(["compare", str(scn), "--out", str(tmp_path / "o")])
+        assert code == viscompare.cli.EXIT_OK
+        # the order check and both solves run on one DiscreteOperator
+        assert tracer.stats["solver.grid"][0] == 1
+        assert tracer.stats["solver.demo"][0] == 1
+
+
+def test_traced_barrier_constructs_once_for_all_mu(tmp_path):
+    with installed_tracer() as tracer:
+        scn = tmp_path / "eq13.json"
+        scn.write_text(json.dumps({
+            "id": "eq13", "problem": {"builtin": "eq13", "lambda": 1.0},
+            "window": [10.0, 100.0, 1000.0], "mu": [0.5, 0.9, 0.99],
+        }))
+        code = viscompare.cli.main(["barrier", str(scn), "--out", str(tmp_path / "o")])
+        assert code == viscompare.cli.EXIT_OK
+        # one construction and window sample; each mu verifies on its nodes
+        assert tracer.stats["barrier.construct"][0] == 1
+        assert tracer.stats["barrier.verify"][0] == 3
+        assert tracer.counts["barrier.verify_points"] == 3 * 4001
