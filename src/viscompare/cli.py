@@ -95,6 +95,13 @@ def _numbers(values, key: str) -> list:
     return [_number(v, key) for v in values]
 
 
+def _required(scn: dict, key: str):
+    """The scenario's top-level entry key; an absent one is a parse error."""
+    if key not in scn:
+        raise ScenarioError(f"scenario missing field {key!r}")
+    return scn[key]
+
+
 def _window(scn: dict, default=None):
     """The scenario's growth radii as floats, else default."""
     radii = scn.get("window", default)
@@ -408,7 +415,8 @@ def check_hypotheses(problem_or_system, window_radii=None) -> dict:
 
 
 def cmd_check_hypotheses(scn, args, outdir):
-    target = build_system(scn["system"]) if "system" in scn else build_problem(scn["problem"])
+    target = (build_system(scn["system"]) if "system" in scn
+              else build_problem(_required(scn, "problem")))
     report = check_hypotheses(target, _window(scn))
     write_report(outdir, {"id": scn.get("id", ""), **report})
     print(report["verdict"])
@@ -416,7 +424,7 @@ def cmd_check_hypotheses(scn, args, outdir):
 
 
 def cmd_classify_growth(scn, args, outdir):
-    problem = build_problem(scn["problem"])
+    problem = build_problem(_required(scn, "problem"))
     radii = _window(scn)
     f_rep = growth_mod.classify_growth(problem.f_at, problem.q_prime,
                                        radii=radii, dim=problem.N)
@@ -440,7 +448,7 @@ def cmd_classify_growth(scn, args, outdir):
 
 
 def cmd_barrier(scn, args, outdir):
-    problem = build_problem(scn["problem"])
+    problem = build_problem(_required(scn, "problem"))
     window = barrier_mod.Window(radius=max(_window(scn, growth_mod.DEFAULT_RADII)), nodes=4001)
     mus = args.mu or _numbers(scn.get("mu", [0.5, 0.9, 0.99]), "mu")
     per_mu = []
@@ -479,7 +487,7 @@ def cmd_barrier(scn, args, outdir):
 
 
 def cmd_verify_classical(scn, args, outdir):
-    problem = build_problem(scn["problem"])
+    problem = build_problem(_required(scn, "problem"))
     cands = closed_forms(scn["problem"], problem.lam)[1]
     grid = np.linspace(-10.0, 10.0, 801).reshape(-1, 1)
     entries, csvs = [], []
@@ -500,7 +508,7 @@ def cmd_verify_classical(scn, args, outdir):
 
 
 def cmd_solve(scn, args, outdir):
-    problem = build_problem(scn["problem"])
+    problem = build_problem(_required(scn, "problem"))
     box, h = parse_grid(scn, args.h)
     boundary = parse_boundary(scn.get("boundary"), problem, scn)
     config = solver_mod.SchemeConfig(tol_residual=args.tol or 1e-9)
@@ -517,10 +525,10 @@ def cmd_solve(scn, args, outdir):
 
 
 def cmd_compare(scn, args, outdir):
-    problem = build_problem(scn["problem"])
+    problem = build_problem(_required(scn, "problem"))
     box, h = parse_grid(scn, args.h)
-    f_low = _parse_field(parse_scalar_field, scn["f_low"], problem.N, "f_low")
-    f_high = _parse_field(parse_scalar_field, scn["f_high"], problem.N, "f_high")
+    f_low = _parse_field(parse_scalar_field, _required(scn, "f_low"), problem.N, "f_low")
+    f_high = _parse_field(parse_scalar_field, _required(scn, "f_high"), problem.N, "f_high")
     b_low = parse_boundary(scn.get("boundary_low", 0.0), problem, scn)
     b_high = parse_boundary(scn.get("boundary_high", 0.0), problem, scn)
     rep = solver_mod.comparison_check(problem, box, h, f_low, f_high, b_low, b_high)
@@ -532,7 +540,7 @@ def cmd_compare(scn, args, outdir):
 
 
 def cmd_gamma_pin(scn, args, outdir):
-    problem = build_problem(scn["problem"])
+    problem = build_problem(_required(scn, "problem"))
     box, h = parse_grid(scn, args.h)
     rep = solver_mod.gamma_pinning_check(problem, box, h)
     write_report(outdir, {"id": scn.get("id", ""), **rep.to_json_dict()})
@@ -544,7 +552,7 @@ def cmd_gamma_pin(scn, args, outdir):
 
 
 def cmd_nonuniqueness(scn, args, outdir):
-    closed_forms(scn["problem"])  # refuse other problems before reading the grid
+    closed_forms(_required(scn, "problem"))  # refuse other problems before reading the grid
     box, h = parse_grid(scn, args.h)
     rep = solver_mod.nonuniqueness_demo(
         scn["problem"]["builtin"], box, h,
@@ -560,10 +568,14 @@ def cmd_nonuniqueness(scn, args, outdir):
 
 
 def cmd_system_solve(scn, args, outdir):
-    system = build_system(scn["system"])
+    system = build_system(_required(scn, "system"))
     box, h = parse_grid(scn, args.h)
+    specs = scn.get("boundaries", [0.0] * system.m)
+    if not isinstance(specs, list) or len(specs) != system.m:
+        raise ScenarioError(f"'boundaries' must list {system.m} entries, one per "
+                            f"component, got {specs!r}")
     boundaries = [parse_boundary(b, system.scalar_problem(k), scn)
-                  for k, b in enumerate(scn.get("boundaries", [0.0] * system.m))]
+                  for k, b in enumerate(specs)]
     fields, rep = sys_mod.solve_system(system, box, h, boundaries)
     if not rep.converged:
         raise PredicateFailure(
@@ -619,9 +631,6 @@ def main(argv=None) -> int:
     except PredicateFailure as exc:
         print(f"FAILED: {exc.predicate}", file=sys.stderr)
         return EXIT_PREDICATE
-    except solver_mod.MonotonicityError as exc:
-        print(f"SOLVER: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
     except ValueError as exc:
         # grid/problem refusals from the library (e.g. non-diagonal 2-d
         # diffusion, wrong Hamiltonian shape for a demo)

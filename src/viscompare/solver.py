@@ -1,13 +1,14 @@
 """Monotone finite-difference solver on truncated boxes (1-d and 2-d).
 
 Discretization: 3-point second differences for the (axis-aligned) diffusion,
-first-order upwinding for the drift, and a Lax-Friedrichs regularization for
-the gradient term,
+first-order upwinding for the drift, and a local Lax-Friedrichs
+regularization for the gradient term,
 
     H(x, Dc u) - sum_ax lf_ax * (second difference)_ax * h_ax / 2,
 
-with Dc the central gradient.  With lf_ax at least the per-axis slope bound
-sup |dH/dxi_ax| on the realized gradients, every off-center stencil
+with Dc the central gradient and lf_ax = 1.2 |dH/dxi_ax| per node, retuned
+at every iterate's central gradients (the per-axis maximum is reported as
+lf_used).  Since lf_ax >= |dH/dxi_ax|, every off-center stencil
 coefficient of the linearized update has the monotone sign, which is the
 discrete counterpart of degenerate ellipticity and grants a discrete
 comparison principle.
@@ -17,8 +18,7 @@ linearized at the current central gradient, the resulting monotone sparse
 linear system is solved exactly, and the update is damped.  For game-form
 Hamiltonians the slope comes from the current argmin/argmax index pair, so
 the sweep is exactly Howard policy iteration (freeze policies, solve,
-re-optimize).  lf is re-tuned every iteration from the current gradient
-range with a 1.2 safety factor and recorded in the report.
+re-optimize).
 
 The coefficients are evaluated once per grid: DiscreteOperator samples the
 diffusion, the drift and the Hamiltonian's coefficient fields at the
@@ -35,7 +35,6 @@ non-uniqueness story at desk scale.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,10 +49,6 @@ from .residual import manufactured_rhs, verify_solution  # noqa: F401  (re-expor
 
 MAX_ITERS = 200  # Newton / Howard iteration cap per solve
 ORDER_TOL = 1e-8  # comparison_check: allowed negative gap between ordered solutions
-
-
-class MonotonicityError(ValueError):
-    """User-fixed Lax-Friedrichs dissipation below the required slope bound."""
 
 
 @dataclass(frozen=True)
@@ -112,7 +107,6 @@ class SchemeConfig:
     """Iteration knobs; damping None means 1.0 without a gradient term and
     0.5 with one."""
 
-    lf_dissipation: object = None  # None = auto-tune; scalar or per-axis sequence
     damping: float | None = None
     tol_residual: float = 1e-9
 
@@ -122,14 +116,12 @@ class SolveReport:
     iterations: int
     final_residual_norm: float
     monotonicity_certificate: bool
-    wall_time: float
     converged: bool
     lf_used: tuple
     damping: float
     residual_history: tuple
 
     def to_json_dict(self) -> dict:
-        # wall_time deliberately excluded: reports must be run-to-run identical
         return {
             "iterations": int(self.iterations),
             "final_residual_norm": float(self.final_residual_norm),
@@ -147,8 +139,6 @@ class DiscreteOperator:
     def __init__(self, problem, box: Box, h: float):
         if box.N != problem.N:
             raise ValueError(f"box dimension {box.N} != problem dimension {problem.N}")
-        if problem.N not in (1, 2):
-            raise ValueError("solver supports N in {1, 2}")
         self.problem = problem
         self.box = box
         axes, spacings = [], []
@@ -214,19 +204,11 @@ class DiscreteOperator:
             total += np.maximum(b, 0.0) * bwd + np.minimum(b, 0.0) * fwd
         return total
 
-    def lf_field(self, lf) -> np.ndarray:
-        """Normalize dissipation input to a per-node, per-axis array."""
-        arr = np.asarray(lf, dtype=float)
-        if arr.shape == (self.n_interior, self.problem.N):
-            return arr
-        return np.broadcast_to(
-            np.atleast_1d(arr).reshape(1, -1), (self.n_interior, self.problem.N)
-        )
-
-    def local_dissipation(self, u: np.ndarray) -> np.ndarray:
-        """Local Lax-Friedrichs coefficients: 1.2 x |dH/dxi| at the current
-        central gradients, per node and axis."""
-        return 1.2 * np.abs(self.hamiltonian.slopes(self.central_gradient(u)))
+    def local_scheme(self, u: np.ndarray):
+        """(slopes, lf) at u's central gradients, per node and axis: the
+        slopes dH/dxi and the local Lax-Friedrichs dissipation 1.2 |dH/dxi|."""
+        slopes = self.hamiltonian.slopes(self.central_gradient(u))
+        return slopes, 1.2 * np.abs(slopes)
 
     def _linear_part(self, u: np.ndarray) -> np.ndarray:
         """lam u - diffusion + upwind drift on the interior."""
@@ -240,8 +222,8 @@ class DiscreteOperator:
         return f_int - self._linear_part(u)
 
     def residual(self, u: np.ndarray, f_int: np.ndarray, lf) -> np.ndarray:
-        """f - S(u) on the interior (Newton right-hand side)."""
-        lf = self.lf_field(lf)
+        """f - S(u) on the interior (Newton right-hand side); lf per node
+        and axis."""
         val = self._linear_part(u)
         grads = self.central_gradient(u)
         val += self.hamiltonian.values(grads)
@@ -255,7 +237,6 @@ class DiscreteOperator:
         """CSR matrix of the linearization; also reports monotone sign pattern."""
         N = self.problem.N
         lam = self.problem.lam
-        lf = self.lf_field(lf)
         diag = np.full(self.n_interior, lam)
         max_offdiag = 0.0
         nodes = np.arange(self.n_interior)
@@ -270,8 +251,7 @@ class DiscreteOperator:
             diag += 2.0 * Deff / h**2 + np.abs(b) / h
             c_plus = -Deff / h**2 + np.minimum(b, 0.0) / h + s / (2.0 * h)
             c_minus = -Deff / h**2 - np.maximum(b, 0.0) / h - s / (2.0 * h)
-            max_offdiag = max(max_offdiag, float(c_plus.max(initial=-np.inf)),
-                              float(c_minus.max(initial=-np.inf)))
+            max_offdiag = max(max_offdiag, float(c_plus.max()), float(c_minus.max()))
             take = [slice(None)] * N
             take[ax] = slice(None, -1)
             src = idx[tuple(take)].ravel()
@@ -300,43 +280,29 @@ def _boundary_values(disc: DiscreteOperator, boundary) -> np.ndarray:
 
 
 def _field_on_interior(disc: DiscreteOperator, f) -> np.ndarray:
-    if f is None:
-        return np.array([disc.problem.f_at(x) for x in disc.points_int])
-    if callable(f):
-        return np.array([float(f(x)) for x in disc.points_int])
-    arr = np.asarray(f, dtype=float)
-    if arr.shape == disc.shape:
-        sl = tuple(slice(1, -1) for _ in disc.shape)
-        return arr[sl].ravel()
-    if arr.size == disc.n_interior:
-        return arr.ravel()
-    raise ValueError(f"field array shape {arr.shape} matches neither grid nor interior")
+    return np.array([float(f(x)) for x in disc.points_int])
 
 
-def solve(problem, box: Box, h: float, boundary, config: SchemeConfig | None = None,
-          f_values=None):
+def solve(problem, box: Box, h: float, boundary, config: SchemeConfig | None = None):
     """Damped Newton / Howard iteration on the monotone scheme.
 
-    boundary: callable x -> value or a constant.  f_values optionally
-    overrides the problem right-hand side (callable or grid array).  Stops
-    once the max-norm residual is at most config.tol_residual, or after
-    MAX_ITERS iterations.  Returns (DiscreteField, SolveReport); raises
-    MonotonicityError when a user-fixed lf is below the required slope
-    bound.
+    boundary: callable x -> value or a constant.  Every iteration retunes
+    the local Lax-Friedrichs dissipation lf = 1.2 |dH/dxi| per node and axis.
+    Stops once the max-norm residual is at most config.tol_residual, or
+    after MAX_ITERS iterations.  Returns (DiscreteField, SolveReport).
     """
     disc = DiscreteOperator(problem, box, h)
-    f_int = _field_on_interior(disc, f_values)
+    f_int = _field_on_interior(disc, problem.f_at)
     return _solve(disc, _boundary_values(disc, boundary), f_int, config)
 
 
 def _solve(disc: DiscreteOperator, u_boundary: np.ndarray, f_int: np.ndarray,
-           config: SchemeConfig | None):
+           config: SchemeConfig | None = None):
     """solve on a built operator: u_boundary is a grid array whose boundary
     nodes hold the Dirichlet data (it is not modified), f_int the interior
     right-hand side."""
     config = config or SchemeConfig()
     problem = disc.problem
-    t0 = time.perf_counter()
 
     u = u_boundary.copy()
     sl = tuple(slice(1, -1) for _ in disc.shape)
@@ -354,38 +320,14 @@ def _solve(disc: DiscreteOperator, u_boundary: np.ndarray, f_int: np.ndarray,
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must lie in (0, 1], got {damping}")
 
-    user_lf = config.lf_dissipation
-    if user_lf is not None:
-        user_lf = np.broadcast_to(np.atleast_1d(np.asarray(user_lf, dtype=float)),
-                                  (problem.N,)).copy()
-        if np.any(user_lf < 0):
-            raise ValueError("lf_dissipation must be nonnegative")
-
     history = []
     monotone_all = True
-    lf_report = np.zeros(problem.N)
     converged = False
     iterations = 0
     for iterations in range(1, MAX_ITERS + 1):
-        grads = disc.central_gradient(u)
-        slopes = disc.hamiltonian.slopes(grads)
-        abs_slopes = np.abs(slopes)
-        if user_lf is None:
-            lf = 1.2 * abs_slopes  # local Lax-Friedrichs
-        else:
-            # user-fixed dissipation is a global per-axis scalar
-            strict_need = abs_slopes.max(axis=0) if slopes.size else np.zeros(problem.N)
-            for ax in range(problem.N):
-                if user_lf[ax] + 1e-12 < strict_need[ax]:
-                    node = int(abs_slopes[:, ax].argmax())
-                    raise MonotonicityError(
-                        f"lf_dissipation[{ax}] = {user_lf[ax]:g} breaks monotonicity at "
-                        f"node x = {disc.points_int[node]}; required >= {strict_need[ax]:g}"
-                    )
-            lf = disc.lf_field(user_lf)
-        lf_report = lf.max(axis=0) if lf.size else np.zeros(problem.N)
+        slopes, lf = disc.local_scheme(u)
         r = disc.residual(u, f_int, lf)
-        resnorm = float(np.abs(r).max()) if r.size else 0.0
+        resnorm = float(np.abs(r).max())
         history.append(resnorm)
         if resnorm <= config.tol_residual:
             converged = True
@@ -398,11 +340,10 @@ def _solve(disc: DiscreteOperator, u_boundary: np.ndarray, f_int: np.ndarray,
     field_out = DiscreteField(axes=disc.axes, values=u, h=disc.h)
     report = SolveReport(
         iterations=iterations,
-        final_residual_norm=history[-1] if history else 0.0,
+        final_residual_norm=history[-1],
         monotonicity_certificate=monotone_all,
-        wall_time=time.perf_counter() - t0,
         converged=converged,
-        lf_used=tuple(float(v) for v in lf_report),
+        lf_used=tuple(float(v) for v in lf.max(axis=0)),
         damping=damping,
         residual_history=tuple(history),
     )
@@ -431,8 +372,8 @@ class ComparisonReport:
         }
 
 
-def comparison_check(problem, box: Box, h: float, f_low, f_high, boundary_low, boundary_high,
-                     config: SchemeConfig | None = None) -> ComparisonReport:
+def comparison_check(problem, box: Box, h: float, f_low, f_high, boundary_low,
+                     boundary_high) -> ComparisonReport:
     """Solve the ordered data pair and assert nodewise solution ordering.
 
     Preconditions f_low <= f_high and boundary_low <= boundary_high are
@@ -449,8 +390,8 @@ def comparison_check(problem, box: Box, h: float, f_low, f_high, boundary_low, b
     bh = _boundary_values(disc, boundary_high)
     if np.any(bl > bh + 1e-12):
         raise ValueError("boundary_low must be <= boundary_high nodewise")
-    sol_low, rep_low = _solve(disc, bl, fl, config)
-    sol_high, rep_high = _solve(disc, bh, fh, config)
+    sol_low, rep_low = _solve(disc, bl, fl)
+    sol_high, rep_high = _solve(disc, bh, fh)
     gap = sol_high.values - sol_low.values
     min_gap = float(gap.min())
     ordered = min_gap >= -ORDER_TOL
@@ -481,18 +422,19 @@ class PinningReport:
         }
 
 
-def gamma_pinning_check(problem, box: Box, h, boundary=0.0,
-                        config: SchemeConfig | None = None) -> PinningReport:
-    """Refinement study of |u - f/lam| at the Hamiltonian's zero set.
+def gamma_pinning_check(problem, box: Box, h: float) -> PinningReport:
+    """Refinement study of |u - f/lam| at the Hamiltonian's zero set, in 1-d.
 
-    h may be the finest spacing (levels 4h, 2h, h are run) or an explicit
-    sequence.  The sign-split hypotheses (vanishing extremal data on Gamma
-    and the local degeneracy bound) are checked first.
+    Solves with zero boundary data at the spacings 4h, 2h and h.  The
+    sign-split hypotheses (vanishing extremal data on Gamma and the local
+    degeneracy bound) are checked first.
     """
+    if problem.N != 1:
+        raise ValueError(f"gamma pinning is 1-d; got a problem of dimension {problem.N}")
     ham = problem.hamiltonian
     if ham is None or not hasattr(ham, "a"):
         raise ValueError("gamma pinning requires a signed scalar Hamiltonian")
-    levels = tuple(float(v) for v in (h if np.iterable(h) else (4.0 * h, 2.0 * h, h)))
+    levels = tuple(float(v) for v in (4.0 * h, 2.0 * h, h))
 
     probe = np.linspace(box.center[0] - box.half_width[0],
                         box.center[0] + box.half_width[0], 401).reshape(-1, 1)
@@ -507,7 +449,7 @@ def gamma_pinning_check(problem, box: Box, h, boundary=0.0,
             raise ValueError(f"sign-split hypotheses failed on the box: {checks}")
     devs = []
     for lev in levels:
-        sol, _ = solve(problem, box, lev, boundary, config)
+        sol, _ = solve(problem, box, lev, 0.0)
         if not len(gamma.gamma_points):
             devs.append(0.0)
             continue
@@ -565,7 +507,7 @@ class NonuniquenessReport:
 
 
 def nonuniqueness_demo(example_id: str, box: Box, h: float, lam: float = 1.0,
-                       t: float = -1.0, config: SchemeConfig | None = None) -> NonuniquenessReport:
+                       t: float = -1.0) -> NonuniquenessReport:
     """Solve with the boundary traces of both closed-form solutions, on one
     grid operator.
 
@@ -575,12 +517,12 @@ def nonuniqueness_demo(example_id: str, box: Box, h: float, lam: float = 1.0,
     """
     problem, cands = closed_forms(example_id, lam, t)
     disc = DiscreteOperator(problem, box, h)
-    f_int = _field_on_interior(disc, None)
+    f_int = _field_on_interior(disc, problem.f_at)
     branches = []
     solutions = []
     cert_grid = np.linspace(-10.0, 10.0, 801)
     for cand in cands:
-        sol, _ = _solve(disc, _boundary_values(disc, lambda x, c=cand: c.val(x)), f_int, config)
+        sol, _ = _solve(disc, _boundary_values(disc, lambda x, c=cand: c.val(x)), f_int)
         exact = np.array([cand.val(x) for x in sol.points()]).reshape(sol.values.shape)
         rep = verify_solution(problem, cand, cert_grid)
         grep = growth_mod.classify_growth(lambda x, c=cand: c.val(x), problem.q_prime,

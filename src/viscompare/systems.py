@@ -19,7 +19,8 @@ from .fields import as_point
 from .hamiltonians import CheckReport, PowerHamiltonian, sampled_homogeneity
 from .operators import DriftDiffusionOperator, ExtremalOperator, canonical_extremal
 from .problems import ProblemSpec
-from .solver import Box, DiscreteOperator, SchemeConfig, _boundary_values, _solve
+from .solver import (Box, DiscreteOperator, SchemeConfig, _boundary_values,
+                     _field_on_interior, _solve)
 
 MAX_SWEEPS = 50  # Gauss-Seidel sweep cap per system solve
 
@@ -164,8 +165,7 @@ class SystemSolveReport:
         }
 
 
-def solve_system(system: MonotoneSystem, box: Box, h: float, boundary_per_k,
-                 config: SchemeConfig | None = None):
+def solve_system(system: MonotoneSystem, box: Box, h: float, boundary_per_k):
     """Gauss-Seidel over components with the coupling frozen per inner solve.
 
     Each component's grid operator, boundary array and right-hand side are
@@ -178,10 +178,9 @@ def solve_system(system: MonotoneSystem, box: Box, h: float, boundary_per_k,
     the same LF scheme the inner solves used; sweeps stop once it is at the
     inner solves' own residual level.
     """
-    config = config or SchemeConfig()
     discs = [DiscreteOperator(system.scalar_problem(k), box, h) for k in range(system.m)]
     sl = tuple(slice(1, -1) for _ in discs[0].shape)
-    f_int = [np.array([system.f_at(k, x) for x in discs[k].points_int])
+    f_int = [_field_on_interior(discs[k], lambda x, k=k: system.f_at(k, x))
              for k in range(system.m)]
     u_boundary = [_boundary_values(discs[k], boundary_per_k[k]) for k in range(system.m)]
 
@@ -199,12 +198,13 @@ def solve_system(system: MonotoneSystem, box: Box, h: float, boundary_per_k,
             rhs = f_int[k].copy()
             if system.components[k].coupling is not None:
                 rhs -= coupling_int(k)
-            # same local dissipation rule the inner solves applied, so a
-            # converged component reproduces its own scheme residual
-            r = discs[k].residual(values[k], rhs, discs[k].local_dissipation(values[k]))
+            # the scheme the inner solves applied, so a converged component
+            # reproduces its own scheme residual
+            r = discs[k].residual(values[k], rhs, discs[k].local_scheme(values[k])[1])
             worst = max(worst, float(np.abs(r).max()))
         return worst
 
+    tol = SchemeConfig().tol_residual  # the inner solves' stopping residual
     sweep_residuals = []
     converged = False
     sweeps = 0
@@ -213,13 +213,13 @@ def solve_system(system: MonotoneSystem, box: Box, h: float, boundary_per_k,
             rhs = f_int[k]
             if system.components[k].coupling is not None:
                 rhs = rhs - coupling_int(k)
-            sol, rep = _solve(discs[k], u_boundary[k], rhs, config)
+            sol, rep = _solve(discs[k], u_boundary[k], rhs)
             values[k] = sol.values
             fields[k] = sol
             reports[k] = rep
         res = live_residual()
         sweep_residuals.append(res)
-        if res <= max(config.tol_residual, 2.0 * max(r.final_residual_norm for r in reports)):
+        if res <= max(tol, 2.0 * max(r.final_residual_norm for r in reports)):
             converged = True
             break
     report = SystemSolveReport(

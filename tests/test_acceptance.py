@@ -242,8 +242,7 @@ def test_criterion_8_gamma_pinning():
     """Gamma-pinning for the cubic sign-switch: deviation decreasing over
     three refinements, final <= 0.05."""
     problem = signswitch(1.0)
-    rep = gamma_pinning_check(problem, Box(center=(0.0,), half_width=(1.0,)), 0.025,
-                              boundary=0.0)
+    rep = gamma_pinning_check(problem, Box(center=(0.0,), half_width=(1.0,)), 0.025)
     ok = rep.decreasing and rep.deviations[-1] <= 0.05
     report(8, ok, f"deviations {[f'{d:.2e}' for d in rep.deviations]} at h {rep.h_levels}")
 

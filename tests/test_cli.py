@@ -365,3 +365,69 @@ def test_barrier_mu_list_that_is_not_a_list_is_parse_error(tmp_path, capsys):
                                               "mu": 0.5})
     assert main(["barrier", scn, "--out", str(tmp_path / "o")]) == EXIT_PARSE
     assert capsys.readouterr().err.startswith("PARSE_ERROR: 'mu' must be a list of numbers")
+
+
+@pytest.mark.parametrize("cmd, key", [
+    ("check-hypotheses", "problem"),
+    ("classify-growth", "problem"),
+    ("barrier", "problem"),
+    ("verify-classical", "problem"),
+    ("solve", "problem"),
+    ("compare", "problem"),
+    ("compare", "f_low"),
+    ("compare", "f_high"),
+    ("gamma-pin", "problem"),
+    ("nonuniqueness", "problem"),
+    ("system-solve", "system"),
+])
+def test_scenario_missing_top_level_key_is_parse_error(tmp_path, capsys, cmd, key):
+    scenario = {"problem": {"builtin": "eq13"}, "system": {"builtin": "system2"},
+                "grid": grid_spec(1.0, 0.1), "f_low": 0.0, "f_high": 1.0}
+    if cmd == "check-hypotheses":
+        del scenario["system"]  # a system scenario needs no problem
+    del scenario[key]
+    scn = write_scenario(tmp_path, "s.json", {"id": "bad", **scenario})
+    assert main([cmd, scn, "--out", str(tmp_path / "o")]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"PARSE_ERROR: scenario missing field {key!r}\n"
+
+
+@pytest.mark.parametrize("boundaries", [[0.0], [0.0, 0.1, 0.2]], ids=["one", "three"])
+def test_system_solve_boundaries_need_one_entry_per_component(tmp_path, capsys, boundaries):
+    scn = write_scenario(tmp_path, "s.json", {
+        "id": "sys", "system": {"builtin": "system2"}, "grid": grid_spec(2.0, 0.1),
+        "boundaries": boundaries,
+    })
+    assert main(["system-solve", scn, "--out", str(tmp_path / "o")]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("PARSE_ERROR: 'boundaries' must list 2 entries")
+
+
+def test_gamma_pin_refuses_2d_problem(tmp_path, capsys):
+    from viscompare.cli import EXIT_SOLVER
+
+    scn = write_scenario(tmp_path, "s.json", {
+        "id": "signed2d", "problem": {
+            "N": 2, "lambda": 1.0, "q": 2.0,
+            "sigma": [[0.0, 0.0], [0.0, 0.0]], "b": [0.0, 0.0],
+            "hamiltonian": {"type": "signed", "a": {"poly": {"3,0": 1.0}}},
+        },
+        "grid": {"box": {"center": [0.0, 0.0], "half_width": [1.0, 1.0]}, "h": 0.25},
+    })
+    assert main(["gamma-pin", scn, "--out", str(tmp_path / "o")]) == EXIT_SOLVER
+    assert capsys.readouterr().err == (
+        "SOLVER: gamma pinning is 1-d; got a problem of dimension 2\n")
+
+
+@pytest.mark.parametrize("flags, iterations, tol", [
+    (["--tol", "1e-6"], 17, 1e-6),
+    ([], 27, 1e-9),
+])
+def test_tol_flag_sets_the_solve_stopping_residual(tmp_path, flags, iterations, tol):
+    scn = write_scenario(tmp_path, "s.json", {
+        "id": "tol", "problem": {"builtin": "eq13", "lambda": 1.0},
+        "grid": grid_spec(2.0, 0.1), "boundary": 0.3,
+    })
+    out = tmp_path / "out"
+    assert main(["solve", scn, "--out", str(out), *flags]) == EXIT_OK
+    rep = read_report(out)["solve"]
+    assert rep["converged"] and rep["iterations"] == iterations
+    assert rep["final_residual_norm"] <= tol

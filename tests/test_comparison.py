@@ -74,7 +74,7 @@ def test_ordered_data_give_ordered_solutions(form, lam, f, df, b, db):
 def test_solutions_contract_in_the_sup_norm(form, lam, f1, f2, b):
     build, box = FORMS[form]
     problem = build(lam)
-    sols = [solve(problem, box, H, b, f_values=quadratic(*c)) for c in (f1, f2)]
+    sols = [solve(problem.with_f(quadratic(*c)), box, H, b) for c in (f1, f2)]
     for _, rep in sols:
         assert rep.converged and rep.monotonicity_certificate
     interior = DiscreteOperator(problem, box, H).points_int

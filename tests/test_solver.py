@@ -18,7 +18,6 @@ from viscompare.solver import (
     Box,
     DiscreteField,
     DiscreteOperator,
-    MonotonicityError,
     SchemeConfig,
     comparison_check,
     gamma_pinning_check,
@@ -135,25 +134,6 @@ def test_manufactured_cos_first_order():
         assert 1.5 <= a / b <= 2.5
 
 
-def test_monotonicity_refusal_names_node_and_value():
-    base = eq13(1.0, 2.0)
-    problem = base.with_f(lambda x: manufactured_rhs(base, COS, x))
-    config = SchemeConfig(lf_dissipation=0.0)
-    with pytest.raises(MonotonicityError, match="required >="):
-        solve(problem, Box(center=(0.0,), half_width=(2.0,)), 0.1,
-              lambda x: COS.val(x), config)
-
-
-def test_user_lf_large_enough_accepted():
-    base = eq13(1.0, 2.0)
-    problem = base.with_f(lambda x: manufactured_rhs(base, COS, x))
-    config = SchemeConfig(lf_dissipation=5.0)
-    sol, rep = solve(problem, Box(center=(0.0,), half_width=(2.0,)), 0.05,
-                     lambda x: COS.val(x), config)
-    assert rep.converged
-    assert rep.lf_used == (5.0,)
-
-
 def test_2d_requires_diagonal_diffusion():
     mixing = lambda x: np.array([[1.0, 0.4], [0.4, 1.0]])
     op = DriftDiffusionOperator(sigma=mixing, b=np.zeros(2), N=2)
@@ -243,8 +223,7 @@ def test_gamma_pinning_signswitch():
 
 def test_gamma_pinning_zero_f():
     problem = signswitch(1.0).with_f(lambda x: 0.0)
-    rep = gamma_pinning_check(problem, Box(center=(0.0,), half_width=(1.0,)), 0.05,
-                              boundary=0.0)
+    rep = gamma_pinning_check(problem, Box(center=(0.0,), half_width=(1.0,)), 0.05)
     assert rep.deviations[-1] <= 1e-10
 
 
@@ -366,7 +345,6 @@ def test_coefficients_evaluated_once_per_grid():
 def assemble_reference(disc, slopes, lf):
     """Triplets appended entry by entry, in the order assemble() uses."""
     N = disc.problem.N
-    lf = disc.lf_field(lf)
     rows, cols, vals = [], [], []
     diag = np.full(disc.n_interior, disc.problem.lam)
     idx = np.arange(disc.n_interior).reshape(disc.int_shape)
@@ -407,7 +385,7 @@ def test_assemble_matches_entrywise_reference(N):
     for attr in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(A, attr), getattr(ref, attr))
     assert monotone
-    _, broken = disc.assemble(slopes, 0.0)
+    _, broken = disc.assemble(slopes, np.zeros_like(slopes))
     assert not broken
 
 
