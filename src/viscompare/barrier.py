@@ -39,9 +39,8 @@ import numpy as np
 from . import growth
 from .fields import as_point, as_points
 from .hamiltonians import _row_dots, _scalar_pow
-from .operators import check_F3_F4_growth
+from .operators import GROWTH_TOL, check_F3_F4_growth
 
-GROWTH_TOL = 0.02          # tolerance of the growth-class preconditions
 LADDER_START, LADDER_MAX = 1.0 / 16.0, 2.0**20  # lambda0 ladder: first rung, last rung
 LINEAR_ALPHA = 1.0         # alpha of the linear-case barrier
 
@@ -215,7 +214,7 @@ def _excess(values: np.ndarray) -> float:
 
 def _require_growth(problem, relaxed: bool):
     mode = "relaxed" if relaxed else "strict"
-    rep = check_F3_F4_growth(problem.extremal, mode, tol=GROWTH_TOL, dim=problem.N)
+    rep = check_F3_F4_growth(problem.extremal, mode)
     f_rep = growth.classify_growth(problem.f_at, problem.q_prime, tol=GROWTH_TOL, dim=problem.N)
     if relaxed:
         coeff_class, f_class, f_ok = "bounded class SG_1", "SG_{q'}^+", f_rep.in_SG_plus

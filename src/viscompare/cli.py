@@ -41,6 +41,7 @@ from .hamiltonians import (
     estimate_delta,
 )
 from .operators import (
+    GROWTH_TOL,
     DriftDiffusionOperator,
     check_A1_A3,
     check_degenerate_ellipticity,
@@ -307,7 +308,7 @@ def check_hypotheses(problem_or_system, window_radii=None) -> dict:
         if not rep_f2.passed:
             raise PredicateFailure("(F2') homogeneity", {"worst": rep_f2.worst})
         growth_ok = all(
-            check_F3_F4_growth(system.extremal(k), "strict", radii=radii, dim=system.N).passed
+            check_F3_F4_growth(system.extremal(k), "strict", radii=radii).passed
             for k in range(system.m)
         )
         if not growth_ok:
@@ -320,8 +321,8 @@ def check_hypotheses(problem_or_system, window_radii=None) -> dict:
     ham = problem.hamiltonian
     xs, xi_pairs, samples, pair_samples = _h_samples(problem)
     f_rep = growth_mod.classify_growth(problem.f_at, problem.q_prime, radii=radii,
-                                       tol=0.02, dim=problem.N)
-    growth_rep = check_F3_F4_growth(problem.extremal, "strict", radii=radii, dim=problem.N)
+                                       tol=GROWTH_TOL, dim=problem.N)
+    growth_rep = check_F3_F4_growth(problem.extremal, "strict", radii=radii)
     # the relaxed mode only changes the pass rule on the same two reports
     relaxed_ok = growth_rep.sigma0_report.in_SG and growth_rep.b0_report.in_SG
     checks["degenerate_ellipticity"] = check_degenerate_ellipticity(problem.operator).passed
@@ -428,7 +429,7 @@ def cmd_classify_growth(scn, args, outdir):
     radii = _window(scn)
     f_rep = growth_mod.classify_growth(problem.f_at, problem.q_prime,
                                        radii=radii, dim=problem.N)
-    coeffs = check_F3_F4_growth(problem.extremal, radii=radii, dim=problem.N)
+    coeffs = check_F3_F4_growth(problem.extremal, radii=radii)
 
     def g(rep):
         return {
@@ -508,10 +509,12 @@ def cmd_verify_classical(scn, args, outdir):
 
 
 def cmd_solve(scn, args, outdir):
+    if args.tol is not None and not (np.isfinite(args.tol) and args.tol > 0):
+        raise ScenarioError(f"--tol must be a finite number > 0, got {args.tol!r}")
+    config = solver_mod.SchemeConfig() if args.tol is None else solver_mod.SchemeConfig(tol_residual=args.tol)
     problem = build_problem(_required(scn, "problem"))
     box, h = parse_grid(scn, args.h)
     boundary = parse_boundary(scn.get("boundary"), problem, scn)
-    config = solver_mod.SchemeConfig(tol_residual=args.tol or 1e-9)
     sol, rep = solver_mod.solve(problem, box, h, boundary, config)
     if not rep.converged:
         raise PredicateFailure(

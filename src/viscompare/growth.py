@@ -18,6 +18,7 @@ import numpy as np
 from .fields import as_point
 
 DEFAULT_RADII = (10.0, 100.0, 1.0e3, 1.0e4)
+SHELL_SAMPLES = 64  # directions per shell of classify_growth (2 in 1-d)
 
 
 class EvaluationError(ValueError):
@@ -128,14 +129,7 @@ def _eval_field(h, point):
         raise EvaluationError(point, exc) from exc
 
 
-def classify_growth(
-    h,
-    r,
-    radii=None,
-    samples_per_radius: int = 64,
-    tol: float = 1e-9,
-    dim: int = 1,
-) -> GrowthReport:
+def classify_growth(h, r, radii=None, *, tol: float = 1e-9, dim: int = 1) -> GrowthReport:
     """Classify a scalar field into the order-r growth classes by shell sampling.
 
     Per shell |x| = R the infimum of +-h(x)/|x|^r is taken over the sampled
@@ -153,7 +147,7 @@ def classify_growth(
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing")
 
-    dirs = shell_directions(dim, samples_per_radius)
+    dirs = shell_directions(dim, SHELL_SAMPLES)
     shell_plus, shell_minus = [], []
     for R in radii:
         vals = np.array([_eval_field(h, R * d) for d in dirs])

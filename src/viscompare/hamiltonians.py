@@ -9,7 +9,12 @@ convex forms, and the inf-sup game form min_beta max_alpha of
 The check_* functions sample a stated inequality and report the worst
 violation with a witness; violations are report content, not exceptions.
 A passing report means "consistent with the hypothesis on the samples",
-never a certificate.
+never a certificate.  One rule, worst_case, picks every worst sample:
+the first NaN wins (a sample that cannot be evaluated fails the check and
+is its witness), else the most extreme value, ties to the lowest index; a
+binned modulus table (H4, F1) fails on any NaN sample.  Tolerances are
+module constants: CHECK_TOL (H1, H2, H4, H2', A4), HOMOGENEITY_TOL (H3),
+GAMMA_REL_TOL (compute_gamma).
 """
 
 from __future__ import annotations
@@ -23,6 +28,9 @@ from .fields import as_point, as_points
 FD_STEP = 1e-6      # relative central-difference step of hamiltonian_slope
 MODULUS_BINS = 8    # distance bins of the H4 and F1 modulus tables
 A4_RADII, A4_MIN_RADIUS = 12, 1e-3  # check_A4: geometric radii from A4_MIN_RADIUS to r
+CHECK_TOL = 1e-9          # slack allowed in a sampled inequality
+HOMOGENEITY_TOL = 1e-12   # scale-aware deviation allowed by the homogeneity checks
+GAMMA_REL_TOL = 1e-10     # compute_gamma: |a| <= GAMMA_REL_TOL (1 + max |a|) is Gamma
 
 
 class HamiltonianDomainError(ValueError):
@@ -376,6 +384,22 @@ class CheckReport:
     extra: dict = field(default_factory=dict)
 
 
+def worst_case(values, start: float, *, larger: bool):
+    """(worst, index) of sampled values: the first NaN, else the first value
+    strictly beyond start and every earlier value (larger, or smaller when
+    not larger: ties go to the lowest index); (start, None) if none is."""
+    v = np.asarray(values, dtype=float)
+    nan = np.isnan(v)
+    if nan.any():
+        i = int(np.argmax(nan))
+        return float(v[i]), i
+    if not v.size:
+        return start, None
+    i = int(np.argmax(v) if larger else np.argmin(v))
+    beyond = v[i] > start if larger else v[i] < start
+    return (float(v[i]), i) if beyond else (start, None)
+
+
 @dataclass(frozen=True)
 class ModulusReport:
     """Empirical modulus table: per-|x-y|-bin suprema of a normalized gap."""
@@ -401,9 +425,9 @@ class GammaPartition:
         return len(self.gamma_points) + len(self.omega_plus) + len(self.omega_minus) == n_points
 
 
-def check_H1_convexity(H, x_samples, xi_pairs, t_samples, tol: float = 1e-9) -> CheckReport:
-    """Sample H(x, t xi1 + (1-t) xi2) <= t H(x,xi1) + (1-t) H(x,xi2) + tol."""
-    worst, witness = -np.inf, None
+def check_H1_convexity(H, x_samples, xi_pairs, t_samples) -> CheckReport:
+    """Sample H(x, t xi1 + (1-t) xi2) <= t H(x,xi1) + (1-t) H(x,xi2) + CHECK_TOL."""
+    gaps, cases = [], []
     for x in x_samples:
         for xi1, xi2 in xi_pairs:
             xi1, xi2 = as_point(xi1), as_point(xi2)
@@ -411,53 +435,49 @@ def check_H1_convexity(H, x_samples, xi_pairs, t_samples, tol: float = 1e-9) -> 
             for t in t_samples:
                 if not 0.0 < t < 1.0:
                     raise ValueError(f"t samples must lie in (0,1), got {t}")
-                gap = float(H(x, t * xi1 + (1.0 - t) * xi2)) - (t * v1 + (1.0 - t) * v2)
-                if gap > worst:
-                    worst, witness = gap, (np.asarray(x), xi1, xi2, t)
-    return CheckReport("H1 convexity", worst <= tol, worst, witness)
+                gaps.append(float(H(x, t * xi1 + (1.0 - t) * xi2)) - (t * v1 + (1.0 - t) * v2))
+                cases.append((np.asarray(x), xi1, xi2, t))
+    worst, i = worst_case(gaps, -np.inf, larger=True)
+    return CheckReport("H1 convexity", worst <= CHECK_TOL, worst, None if i is None else cases[i])
 
 
-def check_H2_bounds(H, delta, C0: float, samples, tol: float = 1e-9) -> CheckReport:
+def check_H2_bounds(H, delta, C0: float, samples) -> CheckReport:
     """Sample delta(x)|xi|^q <= H(x,xi) <= C0 |xi|^q; report the worst slack."""
-    q = H.q
-    worst, witness = np.inf, None
+    slacks, cases = [], []
     for x, xi in samples:
         xi = as_point(xi)
         d = float(_coeff(delta, as_point(x)))
         if not d > 0:
             raise ValueError(f"delta must be positive on samples, got {d} at x={x}")
-        nq = float(np.linalg.norm(xi)) ** q
+        nq = float(np.linalg.norm(xi)) ** H.q
         v = float(H(x, xi))
-        lower_slack = v - d * nq
-        upper_slack = C0 * nq - v
-        for slack, side in ((lower_slack, "lower"), (upper_slack, "upper")):
-            if slack < worst:
-                worst, witness = slack, (np.asarray(x), xi, side)
-    return CheckReport("H2 bounds", worst >= -tol, worst, witness)
+        slacks += [v - d * nq, C0 * nq - v]
+        cases += [(np.asarray(x), xi, "lower"), (np.asarray(x), xi, "upper")]
+    worst, i = worst_case(slacks, np.inf, larger=False)
+    return CheckReport("H2 bounds", worst >= -CHECK_TOL, worst, None if i is None else cases[i])
 
 
-def sampled_homogeneity(name: str, evaluate, cases, thetas, power: float,
-                        tol: float) -> CheckReport:
+def sampled_homogeneity(name: str, evaluate, cases, thetas, power: float) -> CheckReport:
     """Sample evaluate(case, theta) = theta^power evaluate(case, 1) with a
     scale-aware deviation; the witness is (*case, theta)."""
-    worst, witness = 0.0, None
+    devs, witnesses = [], []
     for case in cases:
         base = evaluate(case, 1.0)
         for theta in thetas:
             if theta < 0:
                 raise ValueError(f"theta must be >= 0, got {theta}")
             target = theta**power * base
-            dev = abs(evaluate(case, theta) - target) / max(1.0, abs(target))
-            if dev > worst:
-                worst, witness = dev, (*case, theta)
-    return CheckReport(name, worst <= tol, worst, witness)
+            devs.append(abs(evaluate(case, theta) - target) / max(1.0, abs(target)))
+            witnesses.append((*case, theta))
+    worst, i = worst_case(devs, 0.0, larger=True)
+    return CheckReport(name, worst <= HOMOGENEITY_TOL, worst, None if i is None else witnesses[i])
 
 
-def check_H3_homogeneity(H, samples, thetas, tol: float = 1e-12) -> CheckReport:
+def check_H3_homogeneity(H, samples, thetas) -> CheckReport:
     """Sample H(x, theta xi) = theta^q H(x, xi); scale-aware deviation."""
     cases = [(x, as_point(xi)) for x, xi in samples]
     return sampled_homogeneity("H3 homogeneity", lambda c, t: float(H(c[0], t * c[1])),
-                               cases, thetas, H.q, tol)
+                               cases, thetas, H.q)
 
 
 def binned_max(dists, values):
@@ -474,12 +494,12 @@ def binned_max(dists, values):
     return edges, table
 
 
-def check_H4_modulus(H, R: float, pair_samples, tol: float = 1e-9) -> ModulusReport:
+def check_H4_modulus(H, R: float, pair_samples) -> ModulusReport:
     """Tabulate sup |H(x,xi)-H(y,xi)| / |xi|^q against |x-y| bins inside B_R.
 
-    Passes when the table is nonincreasing toward small separations (within
-    tol) and the smallest-bin value has decayed to at most half the
-    largest-bin value; an estimate of continuity, not a modulus certificate.
+    Passes when no ratio is NaN, the table is nonincreasing toward small
+    separations (within CHECK_TOL) and the smallest-bin value has decayed to
+    at most half the largest; an estimate of continuity, not a certificate.
     """
     q = H.q
     dists, ratios = [], []
@@ -494,18 +514,18 @@ def check_H4_modulus(H, R: float, pair_samples, tol: float = 1e-9) -> ModulusRep
         ratios.append(abs(float(H(x, xi)) - float(H(y, xi))) / n**q)
     edges, values = binned_max(dists, ratios)
     filled = [v for v in values if not np.isnan(v)]
-    monotone = all(a <= b + tol for a, b in zip(filled, filled[1:]))
-    decays = (not filled) or filled[0] <= 0.5 * filled[-1] + tol
+    monotone = all(a <= b + CHECK_TOL for a, b in zip(filled, filled[1:]))
+    decays = (not filled) or filled[0] <= 0.5 * filled[-1] + CHECK_TOL
     return ModulusReport(
         "H4 modulus",
         tuple(edges),
         tuple(values),
-        monotone and decays,
+        not np.isnan(ratios).any() and monotone and decays,
         notes="empirical binned modulus; consistent-with check only",
     )
 
 
-def check_H2prime(game: GameHamiltonian, delta, C0: float, x_samples, tol: float = 1e-9) -> CheckReport:
+def check_H2prime(game: GameHamiltonian, delta, C0: float, x_samples) -> CheckReport:
     """Game-form positivity/boundedness: per x and beta an alpha with
     S - T >= delta(x) I, and per x a beta with sup_alpha |S| <= C0.
 
@@ -522,7 +542,7 @@ def check_H2prime(game: GameHamiltonian, delta, C0: float, x_samples, tol: float
                 gap = game.S(x, alpha, beta) - game.T(x, alpha, beta)
                 margin = float(np.linalg.eigvalsh(0.5 * (gap + gap.T)).min()) - d
                 margin_best = max(margin_best, margin)
-                if margin >= -tol:
+                if margin >= -CHECK_TOL:
                     found = ia
                     break
             worst = min(worst, margin_best)
@@ -538,7 +558,7 @@ def check_H2prime(game: GameHamiltonian, delta, C0: float, x_samples, tol: float
                 for alpha in game.alpha_set
             )
             bound_best = min(bound_best, sup_norm)
-            if sup_norm <= C0 + tol:
+            if sup_norm <= C0 + CHECK_TOL:
                 found_b = ib
                 break
         if found_b is None:
@@ -554,8 +574,9 @@ def check_H2prime(game: GameHamiltonian, delta, C0: float, x_samples, tol: float
     )
 
 
-def compute_gamma(signed: SignedScalarHamiltonian, grid, tol: float | None = None) -> GammaPartition:
-    """Partition grid points by the sign of a(x); |a| <= tol goes to Gamma.
+def compute_gamma(signed: SignedScalarHamiltonian, grid) -> GammaPartition:
+    """Partition grid points by the sign of a(x); |a| <= tol goes to Gamma,
+    with tol = GAMMA_REL_TOL (1 + max |a|) over the grid.
 
     grid is an (M, N) point array, or a flat array of 1-d points.
     """
@@ -563,8 +584,7 @@ def compute_gamma(signed: SignedScalarHamiltonian, grid, tol: float | None = Non
     if pts.size == 0:
         raise ValueError("grid must be nonempty")
     avals = np.array([float(_coeff(signed.a, p)) for p in pts])
-    if tol is None:
-        tol = 1e-10 * (1.0 + float(np.abs(avals).max()))
+    tol = GAMMA_REL_TOL * (1.0 + float(np.abs(avals).max()))
     gamma = np.abs(avals) <= tol
     return GammaPartition(
         gamma_points=pts[gamma],
@@ -574,7 +594,7 @@ def compute_gamma(signed: SignedScalarHamiltonian, grid, tol: float | None = Non
     )
 
 
-def check_A4(H, gamma_points, r: float, C1_candidate: float, tol: float = 1e-9) -> CheckReport:
+def check_A4(H, gamma_points, r: float, C1_candidate: float) -> CheckReport:
     """Sample |H(x, xi)| <= C1 |x - x0|^q |xi|^q for x in B_r(x0), x0 in Gamma.
 
     Reports the smallest feasible C1 found on the samples; fails when it
@@ -588,21 +608,20 @@ def check_A4(H, gamma_points, r: float, C1_candidate: float, tol: float = 1e-9) 
     dirs = shell_directions(pts.shape[1], 16)
     radii = np.geomspace(A4_MIN_RADIUS, r, A4_RADII)
     xi_samples = [d * m for d in dirs for m in (1.0, 3.0)]
-    worst_C1, witness = 0.0, None
+    ratios, cases = [], []
     for x0 in pts:
         for rad in radii:
             for d in dirs:
                 x = x0 + rad * d
                 for xi in xi_samples:
-                    denom = rad**q * float(np.linalg.norm(xi)) ** q
-                    ratio = abs(float(H(x, xi))) / denom
-                    if ratio > worst_C1:
-                        worst_C1, witness = ratio, (x, np.asarray(xi))
+                    ratios.append(abs(float(H(x, xi))) / (rad**q * float(np.linalg.norm(xi)) ** q))
+                    cases.append((x, xi))
+    worst_C1, i = worst_case(ratios, 0.0, larger=True)
     return CheckReport(
         "A4 degeneracy on Gamma",
-        worst_C1 <= C1_candidate * (1.0 + 1e-9) + tol,
+        worst_C1 <= C1_candidate * (1.0 + 1e-9) + CHECK_TOL,
         worst_C1,
-        witness,
+        None if i is None else cases[i],
         notes=f"smallest feasible C1 on samples: {worst_C1:.6g}",
         extra={"C1_required": worst_C1},
     )

@@ -5,7 +5,10 @@ extremal companion P(x, X) = -Tr(sigma0 sigma0^T X) together with the drift
 bound b0(x)|xi| controls differences of F in the comparison argument.  The
 check_* functions sample the structural hypotheses (degenerate ellipticity,
 coefficient growth, Gamma degeneracy, the structure-condition consequence)
-and report worst cases with witnesses.
+and report worst cases with witnesses, by the rule of hamiltonians.worst_case
+(a NaN sample wins and fails the check).  Tolerances, sample counts and seeds
+are module constants: CHECK_TOL (ellipticity), HOMOGENEITY_TOL (F2),
+STRUCTURE_TOL (A1, F1), GROWTH_TOL (F3/F4), and the counts and seeds below.
 """
 
 from __future__ import annotations
@@ -16,12 +19,17 @@ import numpy as np
 
 from . import growth
 from .fields import as_point
-from .hamiltonians import CheckReport, ModulusReport, binned_max, sampled_homogeneity
+from .hamiltonians import (CHECK_TOL, CheckReport, ModulusReport, binned_max,
+                           sampled_homogeneity, worst_case)
 
-ELLIPTICITY_SAMPLES = 500         # random cases of check_degenerate_ellipticity
-LIPSCHITZ_PAIRS = 200             # check_A1_A3: point pairs for the A3 quotients
-F1_PAIRS = 240                    # check_F1_standard_form: random pairs x, y
+ELLIPTICITY_SAMPLES, ELLIPTICITY_SEED = 500, 0  # random cases of check_degenerate_ellipticity
+LIPSCHITZ_PAIRS, LIPSCHITZ_SEED = 200, 1        # check_A1_A3: point pairs for the A3 quotients
+F1_PAIRS, F1_SEED = 240, 2                      # check_F1_standard_form: random pairs x, y
 F1_EPS_VALUES = (0.5, 0.1, 0.02)  # the eps each of those pairs draws from
+STRUCTURE_TOL = 1e-8  # A1 vanishing on Gamma and the F1 bound
+# growth-class tolerance of the hypothesis checks: bounded coefficients sit at
+# -1e-4 at radius 1e4, linear-growth ones at O(1)
+GROWTH_TOL = 0.02
 
 
 def _coeff_array(valuer, x, ndmin: int) -> np.ndarray:
@@ -101,7 +109,7 @@ def canonical_extremal(op: DriftDiffusionOperator) -> ExtremalOperator:
     )
 
 
-def check_F2_homogeneity(F, samples, thetas, tol: float = 1e-12) -> CheckReport:
+def check_F2_homogeneity(F, samples, thetas) -> CheckReport:
     """Positive one-homogeneity in (xi, X) for any F(x, xi, X) evaluator.
 
     This is the only sampling check available for general (non-model-form)
@@ -110,28 +118,24 @@ def check_F2_homogeneity(F, samples, thetas, tol: float = 1e-12) -> CheckReport:
     cases = [(x, np.atleast_1d(np.asarray(xi, dtype=float)), np.atleast_2d(np.asarray(X, dtype=float)))
              for x, xi, X in samples]
     return sampled_homogeneity("F2 homogeneity", lambda c, t: float(F(c[0], t * c[1], t * c[2])),
-                               cases, thetas, 1, tol)
+                               cases, thetas, 1)
 
 
-def check_degenerate_ellipticity(op: DriftDiffusionOperator, samples=None,
-                                 rng=None, tol: float = 1e-9) -> CheckReport:
-    """Sample F(x, xi, X) <= F(x, xi, Y) + tol for X = Y + (psd increment)."""
-    if samples is None:
-        rng = np.random.default_rng(0) if rng is None else rng
-        samples = []
-        for _ in range(ELLIPTICITY_SAMPLES):
-            x = rng.uniform(-3, 3, op.N)
-            xi = rng.uniform(-3, 3, op.N)
-            Y = rng.standard_normal((op.N, op.N))
-            Y = 0.5 * (Y + Y.T)
-            G = rng.standard_normal((op.N, op.N))
-            samples.append((x, xi, Y, G @ G.T))
-    worst, witness = -np.inf, None
-    for x, xi, Y, inc in samples:
-        gap = op(x, xi, np.asarray(Y) + np.asarray(inc)) - op(x, xi, Y)
-        if gap > worst:
-            worst, witness = gap, (np.asarray(x), np.asarray(xi))
-    return CheckReport("degenerate ellipticity", worst <= tol, worst, witness)
+def check_degenerate_ellipticity(op: DriftDiffusionOperator) -> CheckReport:
+    """Sample F(x, xi, X) <= F(x, xi, Y) + CHECK_TOL for X = Y + (psd increment)."""
+    rng = np.random.default_rng(ELLIPTICITY_SEED)
+    gaps, cases = [], []
+    for _ in range(ELLIPTICITY_SAMPLES):
+        x = rng.uniform(-3, 3, op.N)
+        xi = rng.uniform(-3, 3, op.N)
+        Y = rng.standard_normal((op.N, op.N))
+        Y = 0.5 * (Y + Y.T)
+        G = rng.standard_normal((op.N, op.N))
+        gaps.append(op(x, xi, Y + G @ G.T) - op(x, xi, Y))
+        cases.append((x, xi))
+    worst, i = worst_case(gaps, -np.inf, larger=True)
+    return CheckReport("degenerate ellipticity", worst <= CHECK_TOL, worst,
+                       None if i is None else cases[i])
 
 
 @dataclass(frozen=True)
@@ -142,59 +146,50 @@ class F3F4Report:
     passed: bool
 
 
-def check_F3_F4_growth(ext: ExtremalOperator, mode: str = "strict",
-                       radii=None, tol: float = 0.02, dim: int | None = None) -> F3F4Report:
-    """Classify |sigma0| and b0 with growth order 1.
+def check_F3_F4_growth(ext: ExtremalOperator, mode: str = "strict", radii=None) -> F3F4Report:
+    """Classify |sigma0| and b0 with growth order 1 and tolerance GROWTH_TOL.
 
     strict mode demands order-1 vanishing relative growth (S_1) of both;
-    relaxed mode only bounded relative growth (SG_1).  tol defaults to 0.02:
-    bounded coefficients sampled at radius 1e4 sit at -1e-4, well inside,
-    while genuinely linear-growth coefficients sit at O(1) and fail strict.
+    relaxed mode only bounded relative growth (SG_1).
     """
     if mode not in ("strict", "relaxed"):
         raise ValueError(f"mode must be 'strict' or 'relaxed', got {mode}")
-    dim = ext.N if dim is None else dim
-    rep_s = growth.classify_growth(lambda x: ext.sigma0_norm(x), 1.0, radii=radii, tol=tol, dim=dim)
-    rep_b = growth.classify_growth(lambda x: ext.b0_at(x), 1.0, radii=radii, tol=tol, dim=dim)
-    if mode == "strict":
-        passed = rep_s.in_S and rep_b.in_S
-    else:
-        passed = rep_s.in_SG and rep_b.in_SG
+    rep_s, rep_b = (growth.classify_growth(h, 1.0, radii=radii, tol=GROWTH_TOL, dim=ext.N)
+                    for h in (ext.sigma0_norm, ext.b0_at))
+    passed = (rep_s.in_S and rep_b.in_S) if mode == "strict" else (rep_s.in_SG and rep_b.in_SG)
     return F3F4Report(mode, rep_s, rep_b, passed)
 
 
-def check_A1_A3(ext: ExtremalOperator, gamma, window_radius: float = 1.0,
-                rng=None, tol: float = 1e-8) -> CheckReport:
+def check_A1_A3(ext: ExtremalOperator, gamma, window_radius: float = 1.0) -> CheckReport:
     """Vanishing of sigma0, b0 on Gamma plus sampled difference quotients.
 
-    A1: |sigma0(x0)| and b0(x0) <= tol at every Gamma point.  A3: local
-    Lipschitz constants of sigma0 (Frobenius) and b0 estimated on the window.
+    A1: |sigma0(x0)| and |b0(x0)| <= STRUCTURE_TOL at every Gamma point.  A3:
+    local Lipschitz constants of sigma0 (Frobenius) and b0 estimated on the
+    window.
     """
-    rng = np.random.default_rng(1) if rng is None else rng
-    worst, witness = 0.0, None
-    for x0 in np.atleast_2d(gamma.gamma_points):
-        if x0.size == 0:
-            continue
-        v = max(ext.sigma0_norm(x0), abs(ext.b0_at(x0)))
-        if v > worst:
-            worst, witness = v, np.asarray(x0)
-    lip_s, lip_b = 0.0, 0.0
-    for _ in range(LIPSCHITZ_PAIRS):
-        x = rng.uniform(-window_radius, window_radius, ext.N)
-        y = rng.uniform(-window_radius, window_radius, ext.N)
-        d = float(np.linalg.norm(x - y))
-        if d < 1e-12:
-            continue
-        lip_s = max(lip_s, float(np.linalg.norm(ext.sigma0_at(x) - ext.sigma0_at(y))) / d)
-        lip_b = max(lip_b, abs(ext.b0_at(x) - ext.b0_at(y)) / d)
+    pts = [np.asarray(x0) for x0 in np.atleast_2d(gamma.gamma_points) if x0.size]
+    values = [v for x0 in pts for v in (ext.sigma0_norm(x0), abs(ext.b0_at(x0)))]
+    worst, i = worst_case(values, 0.0, larger=True)
+    rng = np.random.default_rng(LIPSCHITZ_SEED)
+    pairs = [(rng.uniform(-window_radius, window_radius, ext.N),
+              rng.uniform(-window_radius, window_radius, ext.N)) for _ in range(LIPSCHITZ_PAIRS)]
+    lip_s, lip_b = _lipschitz(pairs, ext.sigma0_at, ext.b0_at)
     return CheckReport(
         "A1/A3 Gamma degeneracy + local Lipschitz",
-        worst <= tol,
+        worst <= STRUCTURE_TOL,
         worst,
-        witness,
+        None if i is None else pts[i // 2],
         notes="A1 vanishing checked on Gamma; A3 reported as sampled difference quotients",
         extra={"lipschitz_sigma0": lip_s, "lipschitz_b0": lip_b},
     )
+
+
+def _lipschitz(pairs, *fields):
+    """Per field g, the largest sampled norm of g(x) - g(y) over |x - y|, by
+    worst_case from 0; pairs closer than 1e-12 are skipped."""
+    pairs = [(x, y, d) for x, y in pairs if (d := float(np.linalg.norm(x - y))) >= 1e-12]
+    return [worst_case([float(np.linalg.norm(g(x) - g(y))) / d for x, y, d in pairs],
+                       0.0, larger=True)[0] for g in fields]
 
 
 def _admissible_blocks(rng, N: int, eps: float):
@@ -221,31 +216,22 @@ def _admissible_blocks(rng, N: int, eps: float):
     return X, Y
 
 
-def check_F1_standard_form(op: DriftDiffusionOperator, R: float, pair_samples=None,
-                           rng=None, tol: float = 1e-8) -> ModulusReport:
+def check_F1_standard_form(op: DriftDiffusionOperator, R: float) -> ModulusReport:
     """Structure-condition consequence on block-admissible matrix pairs.
 
     Samples F(y, p, Y) - F(x, p, X) with p = (x-y)/eps over pairs x, y in
     B_R and admissible (X, Y); normalizes by |x-y| + |x-y|^2/eps and bins by
     |x-y|.  For locally Lipschitz sigma, b the normalized value is bounded by
     3 Lip(sigma)^2 + Lip(b) (estimated on the same window), which is the
-    pass criterion.
+    pass criterion; a NaN value fails it.
     """
-    rng = np.random.default_rng(2) if rng is None else rng
-    if pair_samples is None:
-        pair_samples = []
-        for _ in range(F1_PAIRS):
-            x = rng.uniform(-R, R, op.N)
-            y = x + rng.uniform(-0.5 * R, 0.5 * R, op.N)
-            y = np.clip(y, -R, R)
-            pair_samples.append((x, y, float(rng.choice(F1_EPS_VALUES))))
-    lip_s, lip_b = 0.0, 0.0
-    for x, y, _ in pair_samples:
-        d = float(np.linalg.norm(np.asarray(x) - np.asarray(y)))
-        if d < 1e-12:
-            continue
-        lip_s = max(lip_s, float(np.linalg.norm(op.sigma_at(x) - op.sigma_at(y))) / d)
-        lip_b = max(lip_b, float(np.linalg.norm(op.b_at(x) - op.b_at(y))) / d)
+    rng = np.random.default_rng(F1_SEED)
+    pair_samples = []
+    for _ in range(F1_PAIRS):
+        x = rng.uniform(-R, R, op.N)
+        y = np.clip(x + rng.uniform(-0.5 * R, 0.5 * R, op.N), -R, R)
+        pair_samples.append((x, y, float(rng.choice(F1_EPS_VALUES))))
+    lip_s, lip_b = _lipschitz([(x, y) for x, y, _ in pair_samples], op.sigma_at, op.b_at)
     c_est = 3.0 * lip_s**2 + lip_b
 
     dists, normalized = [], []
@@ -261,7 +247,7 @@ def check_F1_standard_form(op: DriftDiffusionOperator, R: float, pair_samples=No
         normalized.append(max(gap, 0.0) / (d + d**2 / eps))
     edges, values = binned_max(dists, normalized)
     filled = [v for v in values if not np.isnan(v)]
-    passed = all(v <= c_est * 1.1 + tol for v in filled)
+    passed = not np.isnan(normalized).any() and all(v <= c_est * 1.1 + STRUCTURE_TOL for v in filled)
     return ModulusReport(
         "F1 structure condition",
         tuple(edges),

@@ -17,6 +17,7 @@ import numpy as np
 from .fields import Polynomial, as_point, as_points
 
 _FD_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
+FD_CONSISTENCY_TOL = 1e-5  # relative gradient-vs-FD(value) deviation fd_consistency allows
 
 
 @dataclass
@@ -25,8 +26,8 @@ class SmoothCandidate:
 
     Missing gradient/hessian evaluators are filled by central finite
     differences of the value with step eps^(1/3) * (1 + |x|).  When the
-    fallback is active, the gradient must agree with FD(value) to 1e-5
-    before use (fd_consistency, run by verify_solution).
+    fallback is active, the gradient must agree with FD(value) to
+    FD_CONSISTENCY_TOL before use (fd_consistency, run by verify_solution).
     """
 
     value: object
@@ -86,16 +87,17 @@ class SmoothCandidate:
         H = np.atleast_2d(np.asarray(self.hessian(as_point(x)), dtype=float))
         return 0.5 * (H + H.T)
 
-    def fd_consistency(self, points, tol: float = 1e-5) -> float:
-        """Worst gradient-vs-FD(value) deviation over the points; raises past tol."""
+    def fd_consistency(self, points) -> float:
+        """Worst gradient-vs-FD(value) deviation over the points; raises past
+        FD_CONSISTENCY_TOL."""
         worst = 0.0
         for x in points:
             dev = float(np.linalg.norm(self.grad(x) - self._fd_gradient(x)))
             worst = max(worst, dev / (1.0 + float(np.linalg.norm(self.grad(x)))))
-        if worst > tol:
+        if worst > FD_CONSISTENCY_TOL:
             raise ValueError(
                 f"candidate {self.label or '<anonymous>'}: gradient disagrees with "
-                f"finite differences of the value (relative deviation {worst:.3g} > {tol})"
+                f"finite differences of the value (relative deviation {worst:.3g} > {FD_CONSISTENCY_TOL})"
             )
         return worst
 

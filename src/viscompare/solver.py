@@ -425,16 +425,16 @@ class PinningReport:
 def gamma_pinning_check(problem, box: Box, h: float) -> PinningReport:
     """Refinement study of |u - f/lam| at the Hamiltonian's zero set, in 1-d.
 
-    Solves with zero boundary data at the spacings 4h, 2h and h.  The
-    sign-split hypotheses (vanishing extremal data on Gamma and the local
-    degeneracy bound) are checked first.
+    Solves with zero boundary data at the spacings 4h, 2h and h, each
+    rounded by the grid to half_width/m; h_levels reports the rounded ones.
+    The sign-split hypotheses (vanishing extremal data on Gamma and the
+    local degeneracy bound) are checked first.
     """
     if problem.N != 1:
         raise ValueError(f"gamma pinning is 1-d; got a problem of dimension {problem.N}")
     ham = problem.hamiltonian
     if ham is None or not hasattr(ham, "a"):
         raise ValueError("gamma pinning requires a signed scalar Hamiltonian")
-    levels = tuple(float(v) for v in (4.0 * h, 2.0 * h, h))
 
     probe = np.linspace(box.center[0] - box.half_width[0],
                         box.center[0] + box.half_width[0], 401).reshape(-1, 1)
@@ -447,9 +447,10 @@ def gamma_pinning_check(problem, box: Box, h: float) -> PinningReport:
         checks = {"A1_A3": a13.passed, "A4": a4.passed}
         if not all(checks.values()):
             raise ValueError(f"sign-split hypotheses failed on the box: {checks}")
-    devs = []
-    for lev in levels:
+    devs, levels = [], []
+    for lev in (4.0 * h, 2.0 * h, h):
         sol, _ = solve(problem, box, lev, 0.0)
+        levels.append(sol.h[0])
         if not len(gamma.gamma_points):
             devs.append(0.0)
             continue
@@ -464,7 +465,7 @@ def gamma_pinning_check(problem, box: Box, h: float) -> PinningReport:
         gamma_points=gamma.gamma_points,
         target=float(target),
         deviations=tuple(devs),
-        h_levels=levels,
+        h_levels=tuple(levels),
         decreasing=decreasing,
         hypothesis_checks=checks,
     )

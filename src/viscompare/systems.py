@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import as_point
-from .hamiltonians import CheckReport, PowerHamiltonian, sampled_homogeneity
+from .hamiltonians import CHECK_TOL, CheckReport, PowerHamiltonian, sampled_homogeneity, worst_case
 from .operators import DriftDiffusionOperator, ExtremalOperator, canonical_extremal
 from .problems import ProblemSpec
 from .solver import (Box, DiscreteOperator, SchemeConfig, _boundary_values,
@@ -87,41 +87,34 @@ class MonotoneSystem:
         )
 
 
-def check_M(system: MonotoneSystem, r_s_samples, x_xi_X_samples=None,
-            tol: float = 1e-9) -> CheckReport:
+def check_M(system: MonotoneSystem, r_s_samples) -> CheckReport:
     """At the argmax component j of r - s (>= 0 required, lowest-index ties),
-    verify F_j(x, r, ...) - F_j(x, s, ...) >= lam (r_j - s_j) - tol."""
-    if x_xi_X_samples is None:
-        x_xi_X_samples = [(np.zeros(system.N), np.zeros(system.N),
-                           np.zeros((system.N, system.N)))]
-    worst, witness = np.inf, None
-    used = 0
+    verify F_j(x, r, ...) - F_j(x, s, ...) >= lam (r_j - s_j) - CHECK_TOL,
+    sampled at x, xi, X = 0 (the operator part cancels in the difference)."""
+    x, xi, X = np.zeros(system.N), np.zeros(system.N), np.zeros((system.N, system.N))
+    margins, cases = [], []
     for r, s in r_s_samples:
         r, s = np.asarray(r, dtype=float), np.asarray(s, dtype=float)
         j = int(np.argmax(r - s))
         if r[j] - s[j] < 0:
             continue
-        used += 1
-        for x, xi, X in x_xi_X_samples:
-            margin = (
-                system.F(j, x, r, xi, X)
-                - system.F(j, x, s, xi, X)
-                - system.lam * (r[j] - s[j])
-            )
-            if margin < worst:
-                worst, witness = margin, (r.copy(), s.copy(), j)
-    if used == 0:
+        margins.append(system.F(j, x, r, xi, X) - system.F(j, x, s, xi, X)
+                       - system.lam * (r[j] - s[j]))
+        cases.append((r.copy(), s.copy(), j))
+    if not margins:
         raise ValueError("no sample pair with max_k(r_k - s_k) >= 0")
-    return CheckReport("M monotone coupling", worst >= -tol, worst, witness)
+    worst, i = worst_case(margins, np.inf, larger=False)
+    return CheckReport("M monotone coupling", worst >= -CHECK_TOL, worst,
+                       None if i is None else cases[i])
 
 
-def check_F2prime(system: MonotoneSystem, samples, thetas, tol: float = 1e-12) -> CheckReport:
+def check_F2prime(system: MonotoneSystem, samples, thetas) -> CheckReport:
     """F(x, theta r, theta xi, theta X) = theta F(x, r, xi, X) componentwise."""
     cases = [(k, x, *(np.asarray(v, dtype=float) for v in (r, xi, X)))
              for x, r, xi, X in samples for k in range(system.m)]
     return sampled_homogeneity(
         "F2' homogeneity", lambda c, t: system.F(c[0], c[1], t * c[2], t * c[3], t * c[4]),
-        cases, thetas, 1, tol)
+        cases, thetas, 1)
 
 
 def manufactured_system_rhs(system: MonotoneSystem, u_stars, k: int, x) -> float:

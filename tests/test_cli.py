@@ -431,3 +431,14 @@ def test_tol_flag_sets_the_solve_stopping_residual(tmp_path, flags, iterations, 
     rep = read_report(out)["solve"]
     assert rep["converged"] and rep["iterations"] == iterations
     assert rep["final_residual_norm"] <= tol
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan"])
+def test_tol_flag_must_be_finite_and_positive(tmp_path, capsys, value):
+    scn = write_scenario(tmp_path, "s.json", {
+        "id": "tol", "problem": {"builtin": "eq13", "lambda": 1.0},
+        "grid": grid_spec(2.0, 0.1), "boundary": 0.3,
+    })
+    assert main(["solve", scn, "--out", str(tmp_path / "out"), "--tol", value]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("PARSE_ERROR: --tol must be a finite number > 0")
+    assert not (tmp_path / "out").exists()

@@ -227,6 +227,13 @@ def test_gamma_pinning_zero_f():
     assert rep.deviations[-1] <= 1e-10
 
 
+def test_gamma_pinning_reports_the_spacings_it_solved_at():
+    # h = 0.1 on [-1, 1]: 4h = 0.4 rounds to m = 2 nodes per half-width, so
+    # the coarsest solve runs at spacing 0.5, not 0.4
+    rep = gamma_pinning_check(signswitch(1.0), Box(center=(0.0,), half_width=(1.0,)), 0.1)
+    assert rep.h_levels == (0.5, 0.2, 0.1)
+
+
 def test_gamma_pinning_empty_gamma_vacuous():
     op = DriftDiffusionOperator(sigma=np.zeros((1, 1)), b=np.zeros(1), N=1)
     from viscompare.hamiltonians import SignedScalarHamiltonian
