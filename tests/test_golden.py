@@ -4,8 +4,8 @@ Each case runs one subcommand on a fixed scenario and compares, byte for
 byte, the report.json and every residual_*.csv it writes with the committed
 fixtures in tests/golden/ (`<case>.report.json`, `<case>.<csv name>`).  The
 refusal cases pin the exit code of scenarios the CLI must reject as parse
-errors, and the library refusals also their stderr line
-(`<case>.stderr`).  A change that is meant to move the numbers regenerates the
+errors, and the library refusals and failed predicates also their stderr
+line (`<case>.stderr`).  A change that is meant to move the numbers regenerates the
 fixtures with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from viscompare.cli import EXIT_OK, EXIT_PARSE, EXIT_SOLVER, main
+from viscompare.cli import EXIT_OK, EXIT_PARSE, EXIT_PREDICATE, EXIT_SOLVER, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 WINDOW = [10.0, 100.0, 1000.0]
@@ -135,6 +135,47 @@ SOLVER_REFUSALS = [
 ]
 
 
+def _custom(sigma, hamiltonian=None, f=0.0):
+    """A custom 1-d problem with lambda = 1, q = 2 and b = 0."""
+    problem = {"N": 1, "lambda": 1.0, "q": 2.0, "sigma": [[sigma]], "b": [0.0], "f": f}
+    if hamiltonian is not None:
+        problem["hamiltonian"] = hamiltonian
+    return {"problem": problem}
+
+
+def _power(A):
+    return {"type": "power", "A": [[A]]}
+
+
+def _signed(a):
+    return {"type": "signed", "a": a}
+
+
+QUADRATIC = {"poly": {"2": 1.0}}
+
+# (case name, subcommand, scenario) that must exit with EXIT_PREDICATE, print
+# the committed FAILED line and write no report: one per failure of the
+# check-hypotheses routes that a scenario can reach
+PREDICATE_FAILURES = [
+    # sigma = x^2 grows faster than order 1, f = 0 is in every class
+    ("hypotheses_sigma_quadratic_power", "check-hypotheses",
+     _custom(QUADRATIC, _power(1.0))),
+    ("hypotheses_sigma_quadratic_no_h", "check-hypotheses", _custom(QUADRATIC)),
+    ("hypotheses_signed_a1", "check-hypotheses",
+     _custom(1.0, _signed({"poly": {"1": 1.0}}))),
+    ("hypotheses_signed_a4", "check-hypotheses",
+     _custom(0.0, _signed({"poly": {"1": 1.0}}))),
+    ("hypotheses_signed_growth", "check-hypotheses",
+     _custom(0.0, _signed({"poly": {"3": 1.0}}), f={"poly": {"4": -1.0}})),
+    ("hypotheses_power_h1", "check-hypotheses", _custom(1.0, _power(-1.0))),
+    ("hypotheses_power_h2", "check-hypotheses", _custom(1.0, _power(QUADRATIC))),
+    ("hypotheses_eq13_f_quartic", "check-hypotheses",
+     {"problem": {"builtin": "eq13", "lambda": 1.0, "f": {"poly": {"4": -1.0}}}}),
+    ("hypotheses_system2_minus2lam", "check-hypotheses",
+     {"system": {"builtin": "system2", "coupling": "minus2lam"}}),
+]
+
+
 def run_case(name, cmd, scenario, workdir: Path):
     path = workdir / f"{name}.json"
     path.write_text(json.dumps({"id": name, **scenario}, sort_keys=True))
@@ -179,6 +220,15 @@ def test_solver_refusal_matches_golden(name, cmd, scenario, tmp_path, capsys):
     assert not (outdir / "report.json").exists()
 
 
+@pytest.mark.parametrize("name,cmd,scenario", PREDICATE_FAILURES,
+                         ids=[c[0] for c in PREDICATE_FAILURES])
+def test_predicate_failure_matches_golden(name, cmd, scenario, tmp_path, capsys):
+    code, outdir = run_case(name, cmd, scenario, tmp_path)
+    assert code == EXIT_PREDICATE
+    assert capsys.readouterr().err == (GOLDEN_DIR / f"{name}.stderr").read_text()
+    assert not (outdir / "report.json").exists()
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -191,11 +241,13 @@ if __name__ == "__main__":
             for fixture, path in written_files(name, outdir).items():
                 (GOLDEN_DIR / fixture).write_bytes(path.read_bytes())
                 print(f"wrote {fixture}", file=sys.stderr)
-        for name, cmd, scenario in SOLVER_REFUSALS:
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err):
-                code, _ = run_case(name, cmd, scenario, Path(tmp))
-            if code != EXIT_SOLVER:
-                raise SystemExit(f"{cmd} {name} exited with {code}")
-            (GOLDEN_DIR / f"{name}.stderr").write_text(err.getvalue())
-            print(f"wrote {name}.stderr", file=sys.stderr)
+        for cases, exit_code in ((SOLVER_REFUSALS, EXIT_SOLVER),
+                                 (PREDICATE_FAILURES, EXIT_PREDICATE)):
+            for name, cmd, scenario in cases:
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code, _ = run_case(name, cmd, scenario, Path(tmp))
+                if code != exit_code:
+                    raise SystemExit(f"{cmd} {name} exited with {code}")
+                (GOLDEN_DIR / f"{name}.stderr").write_text(err.getvalue())
+                print(f"wrote {name}.stderr", file=sys.stderr)
