@@ -39,7 +39,7 @@ import numpy as np
 from . import growth
 from .fields import as_point, as_points
 from .hamiltonians import _row_dots, _scalar_pow
-from .operators import GROWTH_TOL, check_F3_F4_growth
+from .operators import growth_hypotheses
 
 LADDER_START, LADDER_MAX = 1.0 / 16.0, 2.0**20  # lambda0 ladder: first rung, last rung
 LINEAR_ALPHA = 1.0         # alpha of the linear-case barrier
@@ -213,22 +213,11 @@ def _excess(values: np.ndarray) -> float:
 
 
 def _require_growth(problem, relaxed: bool):
-    mode = "relaxed" if relaxed else "strict"
-    rep = check_F3_F4_growth(problem.extremal, mode)
-    f_rep = growth.classify_growth(problem.f_at, problem.q_prime, tol=GROWTH_TOL, dim=problem.N)
-    if relaxed:
-        coeff_class, f_class, f_ok = "bounded class SG_1", "SG_{q'}^+", f_rep.in_SG_plus
-        fallback = ""
-    else:
-        coeff_class, f_class, f_ok = "vanishing class S_1", "S_{q'}^+", f_rep.in_S_plus
-        fallback = "; try the large-lambda relaxation (relaxed=True / lambda0_for_SG)"
-    if not rep.passed:
-        failed = f"|sigma0| or b0 not estimated in the order-1 {coeff_class}"
-    elif not f_ok:
-        failed = f"f not estimated in {f_class}"
-    else:
-        return
-    raise BarrierPreconditionError(f"{mode} construction refused: {failed} on the window{fallback}")
+    failed = growth_hypotheses(problem, None).failure(relaxed)
+    if failed:
+        mode, fallback = (("relaxed", "") if relaxed else
+                          ("strict", "; try the large-lambda relaxation (relaxed=True / lambda0_for_SG)"))
+        raise BarrierPreconditionError(f"{mode} construction refused: {failed}{fallback}")
 
 
 def construct_barrier(problem, mu: float, window: Window, relaxed: bool = False) -> BarrierParams:

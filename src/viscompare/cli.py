@@ -25,30 +25,10 @@ from . import problems as prob_mod
 from . import solver as solver_mod
 from . import systems as sys_mod
 from .fields import parse_matrix_field, parse_scalar_field, parse_vector_field
-from .hamiltonians import (
-    GameHamiltonian,
-    MinConvexHamiltonian,
-    PowerHamiltonian,
-    SignedScalarHamiltonian,
-    check_A4,
-    check_H1_convexity,
-    check_H2_bounds,
-    check_H2prime,
-    check_H3_homogeneity,
-    check_H4_modulus,
-    compute_gamma,
-    estimate_C0,
-    estimate_delta,
-)
-from .operators import (
-    GROWTH_TOL,
-    DriftDiffusionOperator,
-    check_A1_A3,
-    check_degenerate_ellipticity,
-    check_F1_standard_form,
-    check_F3_F4_growth,
-)
+from .hamiltonians import PowerHamiltonian, SignedScalarHamiltonian
+from .operators import DriftDiffusionOperator, check_F3_F4_growth
 from .residual import verify_solution
+from .theorems import PredicateFailure, check_hypotheses
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -58,13 +38,6 @@ EXIT_SOLVER = 4
 
 class ScenarioError(ValueError):
     pass
-
-
-class PredicateFailure(Exception):
-    def __init__(self, predicate: str, report: dict | None = None):
-        self.predicate = predicate
-        self.report = report or {}
-        super().__init__(predicate)
 
 
 # ---------------------------------------------------------------------------
@@ -275,140 +248,6 @@ def write_field_csv(outdir: Path, name: str, points: np.ndarray, values: np.ndar
         writer.writerow([f"x{i}" for i in range(dim)] + ["value"])
         for p, v in zip(points, values):
             writer.writerow([repr(float(c)) for c in p] + [repr(float(v))])
-
-
-# ---------------------------------------------------------------------------
-# hypothesis dispatch
-
-
-def _h_samples(problem):
-    xs = [np.full(problem.N, v) for v in (-2.0, -0.5, 0.0, 0.5, 2.0)]
-    xis = [np.full(problem.N, v) for v in (1.0, -1.0, 0.3)]
-    if problem.N == 2:
-        xis.append(np.array([1.0, -2.0]))
-    xi_pairs = [(xis[0], xis[1]), (xis[0], 2.0 * xis[2]), (xis[1], -3.0 * xis[2])]
-    samples = [(x, xi) for x in xs for xi in xis]
-    pair_samples = [(x, y, xi) for x in xs for y in xs for xi in xis if not np.array_equal(x, y)]
-    return xs, xi_pairs, samples, pair_samples
-
-
-def check_hypotheses(problem_or_system, window_radii=None) -> dict:
-    """Run the applicable checkers strictest-first and name the theorem."""
-    radii = tuple(float(R) for R in window_radii) if window_radii else None
-    if isinstance(problem_or_system, sys_mod.MonotoneSystem):
-        system = problem_or_system
-        rng = np.random.default_rng(7)
-        r_s = [(rng.uniform(-2, 2, system.m), rng.uniform(-2, 2, system.m)) for _ in range(400)]
-        rep_m = sys_mod.check_M(system, r_s)
-        if not rep_m.passed:
-            raise PredicateFailure("(M) monotone coupling", {"worst": rep_m.worst})
-        f2_samples = [(np.zeros(system.N), rng.uniform(-1, 1, system.m),
-                       rng.uniform(-1, 1, system.N), np.eye(system.N)) for _ in range(20)]
-        rep_f2 = sys_mod.check_F2prime(system, f2_samples, thetas=(0.0, 0.5, 2.0))
-        if not rep_f2.passed:
-            raise PredicateFailure("(F2') homogeneity", {"worst": rep_f2.worst})
-        growth_ok = all(
-            check_F3_F4_growth(system.extremal(k), "strict", radii=radii).passed
-            for k in range(system.m)
-        )
-        if not growth_ok:
-            raise PredicateFailure("component extremal data not in S_1 (strict growth)")
-        return {"verdict": "Theorem 5.2 applies",
-                "checks": {"M": True, "F2prime": True, "component_growth_strict": True}}
-
-    problem = problem_or_system
-    checks: dict = {}
-    ham = problem.hamiltonian
-    xs, xi_pairs, samples, pair_samples = _h_samples(problem)
-    f_rep = growth_mod.classify_growth(problem.f_at, problem.q_prime, radii=radii,
-                                       tol=GROWTH_TOL, dim=problem.N)
-    growth_rep = check_F3_F4_growth(problem.extremal, "strict", radii=radii)
-    # the relaxed mode only changes the pass rule on the same two reports
-    relaxed_ok = growth_rep.sigma0_report.in_SG and growth_rep.b0_report.in_SG
-    checks["degenerate_ellipticity"] = check_degenerate_ellipticity(problem.operator).passed
-    if not checks["degenerate_ellipticity"]:
-        raise PredicateFailure("degenerate ellipticity")
-    checks["F1_consistent"] = check_F1_standard_form(problem.operator, R=2.0).passed
-    checks["f_in_S_qprime_plus"] = f_rep.in_S_plus
-    checks["f_in_SG_qprime_plus"] = f_rep.in_SG_plus
-    checks["coeffs_strict_S1"] = growth_rep.passed
-    checks["coeffs_relaxed_SG1"] = relaxed_ok
-
-    if ham is None:
-        if growth_rep.passed and f_rep.in_S_plus:
-            return {"verdict": "Proposition 3.3 applies", "checks": checks}
-        if relaxed_ok and f_rep.in_SG_plus:
-            return {"verdict": "Proposition 3.4 applies (lambda large)", "checks": checks}
-        raise PredicateFailure("f not estimated in SG_{q'}^+ on the window", checks)
-
-    checks["H3_homogeneity"] = check_H3_homogeneity(ham, samples, thetas=(0.0, 0.5, 2.0)).passed
-    if not checks["H3_homogeneity"]:
-        raise PredicateFailure("(H3) positive homogeneity")
-    checks["H4_consistent"] = check_H4_modulus(ham, R=3.0, pair_samples=pair_samples).passed
-
-    if isinstance(ham, GameHamiltonian):
-        delta_est = lambda x: 0.99 * min(
-            max(float(np.linalg.eigvalsh(ham.S(x, a, b) - ham.T(x, a, b)).min())
-                for a in ham.alpha_set)
-            for b in ham.beta_set
-        )
-        C0 = problem.C0 if problem.C0 is not None else estimate_C0(ham, xs)
-        rep = check_H2prime(ham, delta_est, C0, xs)
-        checks["H2prime"] = rep.passed
-        if not rep.passed:
-            raise PredicateFailure("(H2') game positivity/boundedness", checks)
-        if not (growth_rep.passed and f_rep.in_S_plus):
-            raise PredicateFailure("growth hypotheses for the game route "
-                                   "(coefficients S_1, f in S_2^+)", checks)
-        return {"verdict": "Corollary 4.4 applies", "checks": checks}
-
-    if isinstance(ham, MinConvexHamiltonian):
-        delta = min(estimate_delta(Hk, xs) for Hk in ham.components)
-        C0 = problem.C0 if problem.C0 is not None else max(estimate_C0(Hk, xs) for Hk in ham.components)
-        ok = delta > 0 and all(
-            check_H1_convexity(Hk, xs, xi_pairs, (0.25, 0.5, 0.75)).passed
-            and check_H2_bounds(Hk, lambda _x, d=delta: d, C0, samples).passed
-            for Hk in ham.components
-        )
-        checks["components_H1_H2_common_constants"] = ok
-        if not ok:
-            raise PredicateFailure("per-component (H1)-(H2) with common constants", checks)
-        if not (growth_rep.passed and f_rep.in_S_plus):
-            raise PredicateFailure("growth hypotheses for the min-convex route", checks)
-        return {"verdict": "Theorem 4.2 applies", "checks": checks}
-
-    sign_changing = False
-    if isinstance(ham, SignedScalarHamiltonian):
-        probe = np.linspace(-3.0, 3.0, 301).reshape(-1, 1) if problem.N == 1 else np.array(xs)
-        gamma = compute_gamma(ham, probe)
-        sign_changing = len(gamma.omega_minus) > 0
-        if sign_changing:
-            a13 = check_A1_A3(problem.extremal, gamma, window_radius=3.0)
-            checks["A1_A3"] = a13.passed
-            if not a13.passed:
-                raise PredicateFailure("(A1) extremal data vanishing on Gamma", checks)
-            a4 = check_A4(ham, gamma.gamma_points, r=1.0, C1_candidate=10.0)
-            checks["A4"] = a4.passed
-            if not a4.passed:
-                raise PredicateFailure("(A4) Hamiltonian degeneracy on Gamma", checks)
-            if not (growth_rep.passed and f_rep.in_S_plus):
-                raise PredicateFailure("growth hypotheses for the sign-split route", checks)
-            return {"verdict": "Theorem 4.1 applies", "checks": checks}
-
-    checks["H1_convexity"] = check_H1_convexity(ham, xs, xi_pairs, (0.25, 0.5, 0.75)).passed
-    if not checks["H1_convexity"]:
-        raise PredicateFailure("(H1) convexity in the gradient", checks)
-    delta = estimate_delta(ham, xs)
-    C0 = problem.C0 if problem.C0 is not None else estimate_C0(ham, xs)
-    checks["H2_bounds"] = delta > 0 and check_H2_bounds(
-        ham, lambda _x, d=delta: d, C0, samples).passed
-    if not checks["H2_bounds"]:
-        raise PredicateFailure("(H2) strict positivity/boundedness", checks)
-    if growth_rep.passed and f_rep.in_S_plus:
-        return {"verdict": "Theorem 3.1 applies", "checks": checks}
-    if relaxed_ok and f_rep.in_SG_plus:
-        return {"verdict": "Theorem 3.2 applies (lambda >= lambda0)", "checks": checks}
-    raise PredicateFailure("f not estimated in SG_{q'}^+ on the window", checks)
 
 
 # ---------------------------------------------------------------------------

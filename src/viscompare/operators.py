@@ -140,24 +140,55 @@ def check_degenerate_ellipticity(op: DriftDiffusionOperator) -> CheckReport:
 
 @dataclass(frozen=True)
 class F3F4Report:
-    mode: str
+    """Order-1 growth of |sigma0| and b0: strict is both in S_1, relaxed
+    both in SG_1, on the same sample."""
+
     sigma0_report: growth.GrowthReport
     b0_report: growth.GrowthReport
-    passed: bool
+    strict: bool
+    relaxed: bool
 
 
-def check_F3_F4_growth(ext: ExtremalOperator, mode: str = "strict", radii=None) -> F3F4Report:
-    """Classify |sigma0| and b0 with growth order 1 and tolerance GROWTH_TOL.
-
-    strict mode demands order-1 vanishing relative growth (S_1) of both;
-    relaxed mode only bounded relative growth (SG_1).
-    """
-    if mode not in ("strict", "relaxed"):
-        raise ValueError(f"mode must be 'strict' or 'relaxed', got {mode}")
+def check_F3_F4_growth(ext: ExtremalOperator, radii=None) -> F3F4Report:
+    """Classify |sigma0| and b0 with growth order 1 and tolerance GROWTH_TOL."""
     rep_s, rep_b = (growth.classify_growth(h, 1.0, radii=radii, tol=GROWTH_TOL, dim=ext.N)
                     for h in (ext.sigma0_norm, ext.b0_at))
-    passed = (rep_s.in_S and rep_b.in_S) if mode == "strict" else (rep_s.in_SG and rep_b.in_SG)
-    return F3F4Report(mode, rep_s, rep_b, passed)
+    return F3F4Report(rep_s, rep_b, rep_s.in_S and rep_b.in_S, rep_s.in_SG and rep_b.in_SG)
+
+
+@dataclass(frozen=True)
+class GrowthHypotheses:
+    """The growth hypotheses of the comparison theorems, on one sample.
+
+    strict: |sigma0|, b0 in S_1 and f in S_{q'}^+ (Theorem 3.1 and the
+    routes built on it); relaxed: |sigma0|, b0 in SG_1 and f in SG_{q'}^+
+    (Theorem 3.2, Proposition 3.4: the large-lambda relaxation).
+    """
+
+    coeffs: F3F4Report
+    f: growth.GrowthReport
+    strict: bool
+    relaxed: bool
+
+    def failure(self, relaxed: bool) -> str | None:
+        """The first class the strict (or relaxed) rule misses, coefficients
+        before f; None when the rule holds."""
+        if not (self.coeffs.relaxed if relaxed else self.coeffs.strict):
+            kind = "bounded class SG_1" if relaxed else "vanishing class S_1"
+            return f"|sigma0| or b0 not estimated in the order-1 {kind} on the window"
+        if not (self.f.in_SG_plus if relaxed else self.f.in_S_plus):
+            return f"f not estimated in {'SG' if relaxed else 'S'}_{{q'}}^+ on the window"
+        return None
+
+
+def growth_hypotheses(problem, radii) -> GrowthHypotheses:
+    """Classify the problem's f with order q' and its extremal data with order
+    1, both with tolerance GROWTH_TOL on the given radii (None: the default)."""
+    f_rep = growth.classify_growth(problem.f_at, problem.q_prime, radii=radii,
+                                   tol=GROWTH_TOL, dim=problem.N)
+    coeffs = check_F3_F4_growth(problem.extremal, radii=radii)
+    return GrowthHypotheses(coeffs, f_rep, coeffs.strict and f_rep.in_S_plus,
+                            coeffs.relaxed and f_rep.in_SG_plus)
 
 
 def check_A1_A3(ext: ExtremalOperator, gamma, window_radius: float = 1.0) -> CheckReport:

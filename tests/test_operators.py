@@ -124,8 +124,8 @@ def test_F4_drift_bound_equality_along_b():
 
 def test_growth_constants_strict():
     ext = ExtremalOperator(sigma0=np.eye(1), b0=0.3, N=1)
-    rep = check_F3_F4_growth(ext, "strict")
-    assert rep.passed
+    rep = check_F3_F4_growth(ext)
+    assert rep.strict and rep.relaxed
     assert rep.sigma0_report.in_S and rep.b0_report.in_S
 
 
@@ -134,20 +134,18 @@ def test_growth_hje3_drift_relaxed_only():
     ext = ExtremalOperator(
         sigma0=np.eye(1), b0=lambda x: abs(float(x[0])), N=1
     )
-    strict = check_F3_F4_growth(ext, "strict")
-    relaxed = check_F3_F4_growth(ext, "relaxed")
-    assert not strict.passed
-    assert relaxed.passed
-    assert relaxed.b0_report.in_SG and not strict.b0_report.in_S
+    rep = check_F3_F4_growth(ext)
+    assert not rep.strict
+    assert rep.relaxed
+    assert rep.b0_report.in_SG and not rep.b0_report.in_S
 
 
 def test_growth_ex2_sigma_relaxed_only():
     ext = ExtremalOperator(
         sigma0=lambda x: np.array([[np.sqrt(1.0 + float(x[0]) ** 2)]]), b0=0.0, N=1
     )
-    strict = check_F3_F4_growth(ext, "strict")
-    relaxed = check_F3_F4_growth(ext, "relaxed")
-    assert not strict.passed and relaxed.passed
+    rep = check_F3_F4_growth(ext)
+    assert not rep.strict and rep.relaxed
 
 
 def test_A1_A3_zero_data_passes():
