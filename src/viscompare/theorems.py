@@ -149,8 +149,7 @@ ROUTES = (
          "component extremal data not in S_1 (strict growth)"),
     ), None, ("Theorem 5.2 applies",), None),
     Route(lambda c: c.ham is None, ELLIPTICITY_F1, STRICT_THEN_RELAXED,
-          ("Proposition 3.3 applies", "Proposition 3.4 applies (lambda large)"),
-          "f not estimated in SG_{q'}^+ on the window"),
+          ("Proposition 3.3 applies", "Proposition 3.4 applies (lambda large)"), None),
     Route(lambda c: isinstance(c.ham, GameHamiltonian), H3_H4 + (
         ("H2prime", _h2prime, "(H2') game positivity/boundedness"),
     ), STRICT, ("Corollary 4.4 applies",),
@@ -172,7 +171,7 @@ ROUTES = (
          "(H1) convexity in the gradient"),
         ("H2_bounds", _h2, "(H2) strict positivity/boundedness"),
     ), STRICT_THEN_RELAXED, ("Theorem 3.1 applies", "Theorem 3.2 applies (lambda >= lambda0)"),
-        "f not estimated in SG_{q'}^+ on the window"),
+        None),
 )
 
 
@@ -199,4 +198,4 @@ def check_hypotheses(problem_or_system, window_radii=None) -> dict:
         return {"verdict": route.verdicts[0], "checks": checks}
     if route.growth == STRICT_THEN_RELAXED and case.growth.relaxed:
         return {"verdict": route.verdicts[1], "checks": checks}
-    raise PredicateFailure(route.growth_failed, checks)
+    raise PredicateFailure(route.growth_failed or case.growth.failure(relaxed=True), checks)
