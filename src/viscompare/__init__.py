@@ -7,7 +7,8 @@ operators (drift-diffusion F, extremal P, structure checks), problems
 (ProblemSpec and the closed-form example catalogue), residual (classical
 certification), barrier (strict supersolutions of the extremal inequality),
 solver (monotone finite differences on truncated boxes), systems (weakly
-coupled monotone systems), cli (scenario runner).
+coupled monotone systems), theorems (the theorem map: which result a
+problem or system meets), cli (scenario runner).
 """
 
 from .barrier import (

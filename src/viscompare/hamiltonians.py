@@ -30,7 +30,7 @@ MODULUS_BINS = 8    # distance bins of the H4 and F1 modulus tables
 A4_RADII, A4_MIN_RADIUS = 12, 1e-3  # check_A4: geometric radii from A4_MIN_RADIUS to r
 CHECK_TOL = 1e-9          # slack allowed in a sampled inequality
 HOMOGENEITY_TOL = 1e-12   # scale-aware deviation allowed by the homogeneity checks
-GAMMA_REL_TOL = 1e-10     # compute_gamma: |a| <= GAMMA_REL_TOL (1 + max |a|) is Gamma
+GAMMA_REL_TOL = 1e-10     # compute_gamma: |a| <= GAMMA_REL_TOL (1 + max finite |a|) is Gamma
 
 
 class HamiltonianDomainError(ValueError):
@@ -576,7 +576,9 @@ def check_H2prime(game: GameHamiltonian, delta, C0: float, x_samples) -> CheckRe
 
 def compute_gamma(signed: SignedScalarHamiltonian, grid) -> GammaPartition:
     """Partition grid points by the sign of a(x); |a| <= tol goes to Gamma,
-    with tol = GAMMA_REL_TOL (1 + max |a|) over the grid.
+    with tol = GAMMA_REL_TOL (1 + max |a|) over the finite values of a.  A
+    point where a is not finite is in no part, so the partition does not
+    cover the grid.
 
     grid is an (M, N) point array, or a flat array of 1-d points.
     """
@@ -584,12 +586,12 @@ def compute_gamma(signed: SignedScalarHamiltonian, grid) -> GammaPartition:
     if pts.size == 0:
         raise ValueError("grid must be nonempty")
     avals = np.array([float(_coeff(signed.a, p)) for p in pts])
-    tol = GAMMA_REL_TOL * (1.0 + float(np.abs(avals).max()))
-    gamma = np.abs(avals) <= tol
+    finite = np.isfinite(avals)
+    tol = GAMMA_REL_TOL * (1.0 + float(np.abs(avals[finite]).max(initial=0.0)))
     return GammaPartition(
-        gamma_points=pts[gamma],
-        omega_plus=pts[(~gamma) & (avals > 0)],
-        omega_minus=pts[(~gamma) & (avals < 0)],
+        gamma_points=pts[np.abs(avals) <= tol],
+        omega_plus=pts[finite & (avals > tol)],
+        omega_minus=pts[finite & (avals < -tol)],
         tol=tol,
     )
 

@@ -428,7 +428,8 @@ def gamma_pinning_check(problem, box: Box, h: float) -> PinningReport:
     Solves with zero boundary data at the spacings 4h, 2h and h, each
     rounded by the grid to half_width/m; h_levels reports the rounded ones.
     The sign-split hypotheses (vanishing extremal data on Gamma and the
-    local degeneracy bound) are checked first.
+    local degeneracy bound) are checked first, on a probe of the box where
+    a(x) must be finite.
     """
     if problem.N != 1:
         raise ValueError(f"gamma pinning is 1-d; got a problem of dimension {problem.N}")
@@ -439,6 +440,8 @@ def gamma_pinning_check(problem, box: Box, h: float) -> PinningReport:
     probe = np.linspace(box.center[0] - box.half_width[0],
                         box.center[0] + box.half_width[0], 401).reshape(-1, 1)
     gamma = compute_gamma(ham, probe)
+    if not gamma.covers(len(probe)):
+        raise ValueError("a(x) is not finite everywhere on the box: the sign split is undefined")
     checks = {}
     if len(gamma.gamma_points):
         a13 = check_A1_A3(problem.extremal, gamma, window_radius=box.half_width[0])

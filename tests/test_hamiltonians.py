@@ -349,6 +349,21 @@ def test_compute_gamma_linear():
     assert part.covers(21)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_compute_gamma_puts_non_finite_a_in_no_part(bad):
+    # a(x) = x up to 0.5, not finite beyond: the tolerance comes from the
+    # finite values, so the zero at x = 0 stays in Gamma and the partition
+    # misses exactly the six non-finite points
+    grid = np.linspace(-1, 1, 21)
+    H = SignedScalarHamiltonian(a=lambda x: float(x[0]) if x[0] <= 0.5 else bad, q=2.0)
+    part = compute_gamma(H, grid)
+    assert np.array_equal(part.gamma_points, grid[10:11].reshape(-1, 1))
+    assert part.tol == compute_gamma(SignedScalarHamiltonian(a=lambda x: float(x[0]), q=2.0),
+                                     grid[:16]).tol
+    assert len(part.omega_plus) == 5 and len(part.omega_minus) == 10
+    assert not part.covers(21)
+
+
 def test_compute_gamma_positive_constant():
     H = SignedScalarHamiltonian(a=1.0, q=2.0)
     part = compute_gamma(H, np.linspace(-1, 1, 11))

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from viscompare.hamiltonians import GameHamiltonian
+from viscompare.hamiltonians import GameHamiltonian, SignedScalarHamiltonian
 from viscompare.operators import DriftDiffusionOperator
 from viscompare.problems import (
     ProblemSpec,
@@ -232,6 +234,14 @@ def test_gamma_pinning_reports_the_spacings_it_solved_at():
     # the coarsest solve runs at spacing 0.5, not 0.4
     rep = gamma_pinning_check(signswitch(1.0), Box(center=(0.0,), half_width=(1.0,)), 0.1)
     assert rep.h_levels == (0.5, 0.2, 0.1)
+
+
+def test_gamma_pinning_refuses_non_finite_a():
+    # a(x) = x up to 0.5 and NaN beyond: the probe of the box is not split
+    a = lambda x: float(x[0]) if x[0] <= 0.5 else float("nan")
+    problem = dataclasses.replace(signswitch(1.0), hamiltonian=SignedScalarHamiltonian(a=a, q=2.0))
+    with pytest.raises(ValueError, match="a\\(x\\) is not finite"):
+        gamma_pinning_check(problem, Box(center=(0.0,), half_width=(1.0,)), 0.1)
 
 
 def test_gamma_pinning_empty_gamma_vacuous():
