@@ -140,8 +140,7 @@ def check_degenerate_ellipticity(op: DriftDiffusionOperator) -> CheckReport:
 
 @dataclass(frozen=True)
 class F3F4Report:
-    """Order-1 growth of |sigma0| and b0: strict is both in S_1, relaxed
-    both in SG_1, on the same sample."""
+    """Order-1 growth of |sigma0| and b0: strict is both in S_1, relaxed both in SG_1."""
 
     sigma0_report: growth.GrowthReport
     b0_report: growth.GrowthReport
@@ -158,12 +157,8 @@ def check_F3_F4_growth(ext: ExtremalOperator, radii=None) -> F3F4Report:
 
 @dataclass(frozen=True)
 class GrowthHypotheses:
-    """The growth hypotheses of the comparison theorems, on one sample.
-
-    strict: |sigma0|, b0 in S_1 and f in S_{q'}^+ (Theorem 3.1 and the
-    routes built on it); relaxed: |sigma0|, b0 in SG_1 and f in SG_{q'}^+
-    (Theorem 3.2, Proposition 3.4: the large-lambda relaxation).
-    """
+    """The growth rules of the comparison theorems on one sample: strict is
+    |sigma0|, b0 in S_1 and f in S_{q'}^+; relaxed is SG_1 and SG_{q'}^+."""
 
     coeffs: F3F4Report
     f: growth.GrowthReport
@@ -171,8 +166,7 @@ class GrowthHypotheses:
     relaxed: bool
 
     def failure(self, relaxed: bool) -> str | None:
-        """The first class the strict (or relaxed) rule misses, coefficients
-        before f; None when the rule holds."""
+        """The first class the strict (relaxed) rule misses, coefficients first."""
         if not (self.coeffs.relaxed if relaxed else self.coeffs.strict):
             kind = "bounded class SG_1" if relaxed else "vanishing class S_1"
             return f"|sigma0| or b0 not estimated in the order-1 {kind} on the window"
@@ -182,13 +176,11 @@ class GrowthHypotheses:
 
 
 def growth_hypotheses(problem, radii) -> GrowthHypotheses:
-    """Classify the problem's f with order q' and its extremal data with order
-    1, both with tolerance GROWTH_TOL on the given radii (None: the default)."""
-    f_rep = growth.classify_growth(problem.f_at, problem.q_prime, radii=radii,
-                                   tol=GROWTH_TOL, dim=problem.N)
-    coeffs = check_F3_F4_growth(problem.extremal, radii=radii)
-    return GrowthHypotheses(coeffs, f_rep, coeffs.strict and f_rep.in_S_plus,
-                            coeffs.relaxed and f_rep.in_SG_plus)
+    """Classify f with order q' and the extremal data with order 1, at
+    GROWTH_TOL on the radii (None: growth.DEFAULT_RADII)."""
+    f = growth.classify_growth(problem.f_at, problem.q_prime, radii=radii, tol=GROWTH_TOL, dim=problem.N)
+    c = check_F3_F4_growth(problem.extremal, radii=radii)
+    return GrowthHypotheses(c, f, c.strict and f.in_S_plus, c.relaxed and f.in_SG_plus)
 
 
 def check_A1_A3(ext: ExtremalOperator, gamma, window_radius: float = 1.0) -> CheckReport:

@@ -1,14 +1,13 @@
 """Theorem routing: which of the paper's results a problem or a system meets.
 
-ROUTES is the theorem map: the first row whose shape test matches is the
-route.  A row's steps (key, run, failed) run in order; each runs one sampled
-check, records whether it passed in `checks` under key (None: not recorded)
-and, if it failed and failed is not None, stops the route with that FAILED
-predicate.  Then comes the row's growth requirement, by the one rule of
-operators.growth_hypotheses (None for systems: component growth is a step),
-and its verdict, one per rule for STRICT_THEN_RELAXED.  Steps look their
-checkers up in this module's globals at call time, so a wrapper installed
-over a checker's name (the benchmark's layer tracer) sees every call.
+ROUTES is the theorem map of the README: the first row whose shape test
+matches is the route.  Its steps (key, run, failed) run in order: each
+records whether its check passed in `checks` under key (None: not recorded)
+and stops the route with the FAILED predicate `failed` if the check failed
+(None: recorded only).  Then the growth requirement (the one rule of
+operators.growth_hypotheses; None for systems, whose component growth is a
+step) picks the verdict.  Steps look checkers up in this module's globals
+when they run, so a wrapper installed over a checker's name sees the call.
 """
 
 from __future__ import annotations
@@ -37,16 +36,14 @@ class PredicateFailure(Exception):
 
     def __init__(self, predicate: str, report: dict | None = None,
                  check: CheckReport | None = None):
-        self.predicate = predicate
-        self.report = report or {}
-        self.check = check
         super().__init__(predicate)
+        self.predicate, self.report, self.check = predicate, report or {}, check
 
 
 class Route(NamedTuple):
-    """One row of the theorem map.  A step's run(case) returns a CheckReport,
-    a ModulusReport or a bool; growth_failed is the FAILED predicate of a
-    STRICT route's growth (STRICT_THEN_RELAXED names the missed class)."""
+    """One row of the theorem map; a step's run(case) returns a CheckReport,
+    a ModulusReport or a bool.  growth_failed is the FAILED predicate of a
+    STRICT route's growth; the others name the class the relaxed rule misses."""
 
     shape: Callable
     steps: tuple
@@ -61,13 +58,11 @@ class _Case:
     def __init__(self, target, radii):
         self.target, self.radii = target, radii
         if isinstance(target, MonotoneSystem):
-            self.rng = np.random.default_rng(SYSTEM_SEED)
+            self.rng, self.growth = np.random.default_rng(SYSTEM_SEED), None
             return
-        self.ham = target.hamiltonian
-        self.xs = xs = [np.full(target.N, v) for v in (-2.0, -0.5, 0.0, 0.5, 2.0)]
-        xis = [np.full(target.N, v) for v in (1.0, -1.0, 0.3)]
-        if target.N == 2:
-            xis.append(np.array([1.0, -2.0]))
+        self.ham, N = target.hamiltonian, target.N
+        self.xs = xs = [np.full(N, v) for v in (-2.0, -0.5, 0.0, 0.5, 2.0)]
+        xis = [np.full(N, v) for v in (1.0, -1.0, 0.3)] + ([np.array([1.0, -2.0])] if N == 2 else [])
         self.xi_pairs = [(xis[0], xis[1]), (xis[0], 2.0 * xis[2]), (xis[1], -3.0 * xis[2])]
         self.samples = [(x, xi) for x in xs for xi in xis]
         self.pair_samples = [(x, y, xi) for x in xs for y in xs for xi in xis
@@ -75,30 +70,20 @@ class _Case:
         self.growth = growth_hypotheses(target, radii)
         self.gamma = None
         if isinstance(self.ham, SignedScalarHamiltonian):
-            self.probe = np.linspace(-3.0, 3.0, 301).reshape(-1, 1) if target.N == 1 else np.array(xs)
-            self.gamma = compute_gamma(self.ham, self.probe)
-            # every probe point is in Gamma, Omega+ or Omega-: a(x) is finite there
-            self.covers = self.gamma.covers(len(self.probe))
+            probe = np.linspace(-3.0, 3.0, 301).reshape(-1, 1) if N == 1 else np.array(xs)
+            self.gamma = compute_gamma(self.ham, probe)
+            self.covers = self.gamma.covers(len(probe))  # a(x) is finite on the probe
 
     def C0(self, components) -> float:
         """The problem's C0, else the largest window estimate over components."""
         C0 = self.target.C0
         return C0 if C0 is not None else max(estimate_C0(H, self.xs) for H in components)
 
-    def h2(self, H, delta, C0):
-        return check_H2_bounds(H, lambda _x: delta, C0, self.samples)
-
-
-def _monotone_coupling(c):
-    m = c.target.m
-    return check_M(c.target, [(c.rng.uniform(-2, 2, m), c.rng.uniform(-2, 2, m)) for _ in range(400)])
-
 
 def _f2prime(c):
     N, m, rng = c.target.N, c.target.m, c.rng
-    samples = [(np.zeros(N), rng.uniform(-1, 1, m), rng.uniform(-1, 1, N), np.eye(N))
-               for _ in range(20)]
-    return check_F2prime(c.target, samples, thetas=THETAS)
+    return check_F2prime(c.target, [(np.zeros(N), rng.uniform(-1, 1, m), rng.uniform(-1, 1, N),
+                                     np.eye(N)) for _ in range(20)], thetas=THETAS)
 
 
 def _h2prime(c):
@@ -110,14 +95,14 @@ def _h2prime(c):
 
 def _components_h1_h2(c):
     """(H1) and (H2) of every component with one delta and one C0: the first
-    failing report, else whether the common delta is positive."""
-    delta = min(estimate_delta(H, c.xs) for H in c.ham.components)
-    C0 = c.C0(c.ham.components)
+    failing report, else whether delta > 0 (check_H2_bounds requires it)."""
+    components = c.ham.components
+    delta, C0 = min(estimate_delta(H, c.xs) for H in components), c.C0(components)
     if not delta > 0:
         return False
-    for H in c.ham.components:
+    for H in components:
         rep = check_H1_convexity(H, c.xs, c.xi_pairs, CONVEXITY_T)
-        rep = c.h2(H, delta, C0) if rep.passed else rep
+        rep = check_H2_bounds(H, lambda _x: delta, C0, c.samples) if rep.passed else rep
         if not rep.passed:
             return rep
     return True
@@ -125,7 +110,7 @@ def _components_h1_h2(c):
 
 def _h2(c):
     delta, C0 = estimate_delta(c.ham, c.xs), c.C0([c.ham])
-    return delta > 0 and c.h2(c.ham, delta, C0)
+    return delta > 0 and check_H2_bounds(c.ham, lambda _x: delta, C0, c.samples)
 
 
 ELLIPTICITY_F1 = (
@@ -138,27 +123,27 @@ H3_H4 = ELLIPTICITY_F1 + (
      "(H3) positive homogeneity"),
     ("H4_consistent", lambda c: check_H4_modulus(c.ham, R=3.0, pair_samples=c.pair_samples), None),
 )
-
 ROUTES = (
     Route(lambda c: isinstance(c.target, MonotoneSystem), (
-        ("M", _monotone_coupling, "(M) monotone coupling"),
+        ("M", lambda c: check_M(c.target, [(c.rng.uniform(-2, 2, c.target.m),
+                                            c.rng.uniform(-2, 2, c.target.m)) for _ in range(400)]),
+         "(M) monotone coupling"),
         ("F2prime", _f2prime, "(F2') homogeneity"),
-        ("component_growth_strict",
-         lambda c: all(check_F3_F4_growth(c.target.extremal(k), radii=c.radii).strict
-                       for k in range(c.target.m)),
+        ("component_growth_strict", lambda c: all(
+            check_F3_F4_growth(c.target.extremal(k), radii=c.radii).strict for k in range(c.target.m)),
          "component extremal data not in S_1 (strict growth)"),
     ), None, ("Theorem 5.2 applies",), None),
     Route(lambda c: c.ham is None, ELLIPTICITY_F1, STRICT_THEN_RELAXED,
           ("Proposition 3.3 applies", "Proposition 3.4 applies (lambda large)"), None),
-    Route(lambda c: isinstance(c.ham, GameHamiltonian), H3_H4 + (
-        ("H2prime", _h2prime, "(H2') game positivity/boundedness"),
-    ), STRICT, ("Corollary 4.4 applies",),
-        "growth hypotheses for the game route (coefficients S_1, f in S_2^+)"),
-    Route(lambda c: isinstance(c.ham, MinConvexHamiltonian), H3_H4 + (
-        ("components_H1_H2_common_constants", _components_h1_h2,
-         "per-component (H1)-(H2) with common constants"),
-    ), STRICT, ("Theorem 4.2 applies",), "growth hypotheses for the min-convex route"),
-    # a signed H whose a(x) is negative somewhere on the probe, or not finite
+    Route(lambda c: isinstance(c.ham, GameHamiltonian),
+          H3_H4 + (("H2prime", _h2prime, "(H2') game positivity/boundedness"),),
+          STRICT, ("Corollary 4.4 applies",),
+          "growth hypotheses for the game route (coefficients S_1, f in S_2^+)"),
+    Route(lambda c: isinstance(c.ham, MinConvexHamiltonian),
+          H3_H4 + (("components_H1_H2_common_constants", _components_h1_h2,
+                    "per-component (H1)-(H2) with common constants"),),
+          STRICT, ("Theorem 4.2 applies",), "growth hypotheses for the min-convex route"),
+    # a signed H with a(x) < 0 somewhere on the probe, or not finite there
     Route(lambda c: c.gamma is not None and (len(c.gamma.omega_minus) > 0 or not c.covers), H3_H4 + (
         (None, lambda c: c.covers, "non-finite a(x) on the sign-split probe"),
         ("A1_A3", lambda c: check_A1_A3(c.target.extremal, c.gamma, window_radius=3.0),
@@ -170,8 +155,7 @@ ROUTES = (
         ("H1_convexity", lambda c: check_H1_convexity(c.ham, c.xs, c.xi_pairs, CONVEXITY_T),
          "(H1) convexity in the gradient"),
         ("H2_bounds", _h2, "(H2) strict positivity/boundedness"),
-    ), STRICT_THEN_RELAXED, ("Theorem 3.1 applies", "Theorem 3.2 applies (lambda >= lambda0)"),
-        None),
+    ), STRICT_THEN_RELAXED, ("Theorem 3.1 applies", "Theorem 3.2 applies (lambda >= lambda0)"), None),
 )
 
 
@@ -179,12 +163,10 @@ def check_hypotheses(problem_or_system, window_radii=None) -> dict:
     """The verdict and checks of the first route of ROUTES whose shape
     matches; raises PredicateFailure at the first failed predicate.
     window_radii are the growth radii (None: growth.DEFAULT_RADII)."""
-    radii = tuple(float(R) for R in window_radii) if window_radii else None
-    case = _Case(problem_or_system, radii)
+    case = _Case(problem_or_system, tuple(float(R) for R in window_radii) if window_radii else None)
     route = next(r for r in ROUTES if r.shape(case))
-    checks = {}
+    g, checks = case.growth, {}
     if route.growth is not None:
-        g = case.growth
         checks.update(f_in_S_qprime_plus=g.f.in_S_plus, f_in_SG_qprime_plus=g.f.in_SG_plus,
                       coeffs_strict_S1=g.coeffs.strict, coeffs_relaxed_SG1=g.coeffs.relaxed)
     for key, run, failed in route.steps:
@@ -194,8 +176,8 @@ def check_hypotheses(problem_or_system, window_radii=None) -> dict:
             checks[key] = passed
         if failed is not None and not passed:
             raise PredicateFailure(failed, checks, result if isinstance(result, CheckReport) else None)
-    if route.growth is None or case.growth.strict:
+    if route.growth is None or g.strict:
         return {"verdict": route.verdicts[0], "checks": checks}
-    if route.growth == STRICT_THEN_RELAXED and case.growth.relaxed:
+    if route.growth == STRICT_THEN_RELAXED and g.relaxed:
         return {"verdict": route.verdicts[1], "checks": checks}
-    raise PredicateFailure(route.growth_failed or case.growth.failure(relaxed=True), checks)
+    raise PredicateFailure(route.growth_failed or g.failure(relaxed=True), checks)
