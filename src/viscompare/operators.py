@@ -178,7 +178,8 @@ class GrowthHypotheses:
 def growth_hypotheses(problem, radii) -> GrowthHypotheses:
     """Classify f with order q' and the extremal data with order 1, at
     GROWTH_TOL on the radii (None: growth.DEFAULT_RADII)."""
-    f = growth.classify_growth(problem.f_at, problem.q_prime, radii=radii, tol=GROWTH_TOL, dim=problem.N)
+    f = growth.classify_growth(problem.f_at, problem.q_prime, radii=radii, tol=GROWTH_TOL,
+                               dim=problem.N)
     c = check_F3_F4_growth(problem.extremal, radii=radii)
     return GrowthHypotheses(c, f, c.strict and f.in_S_plus, c.relaxed and f.in_SG_plus)
 

@@ -36,8 +36,10 @@ class PredicateFailure(Exception):
 
     def __init__(self, predicate: str, report: dict | None = None,
                  check: CheckReport | None = None):
+        self.predicate = predicate
+        self.report = report or {}
+        self.check = check
         super().__init__(predicate)
-        self.predicate, self.report, self.check = predicate, report or {}, check
 
 
 class Route(NamedTuple):
@@ -62,7 +64,9 @@ class _Case:
             return
         self.ham, N = target.hamiltonian, target.N
         self.xs = xs = [np.full(N, v) for v in (-2.0, -0.5, 0.0, 0.5, 2.0)]
-        xis = [np.full(N, v) for v in (1.0, -1.0, 0.3)] + ([np.array([1.0, -2.0])] if N == 2 else [])
+        xis = [np.full(N, v) for v in (1.0, -1.0, 0.3)]
+        if N == 2:
+            xis.append(np.array([1.0, -2.0]))
         self.xi_pairs = [(xis[0], xis[1]), (xis[0], 2.0 * xis[2]), (xis[1], -3.0 * xis[2])]
         self.samples = [(x, xi) for x in xs for xi in xis]
         self.pair_samples = [(x, y, xi) for x in xs for y in xs for xi in xis
@@ -74,10 +78,9 @@ class _Case:
             self.gamma = compute_gamma(self.ham, probe)
             self.covers = self.gamma.covers(len(probe))  # a(x) is finite on the probe
 
-    def C0(self, components) -> float:
-        """The problem's C0, else the largest window estimate over components."""
-        C0 = self.target.C0
-        return C0 if C0 is not None else max(estimate_C0(H, self.xs) for H in components)
+    def C0(self) -> float:
+        """The problem's C0, else its window estimate."""
+        return self.target.C0 if self.target.C0 is not None else estimate_C0(self.ham, self.xs)
 
 
 def _f2prime(c):
@@ -90,14 +93,14 @@ def _h2prime(c):
     H = c.ham
     delta = lambda x: 0.99 * min(max(float(np.linalg.eigvalsh(H.S(x, a, b) - H.T(x, a, b)).min())
                                      for a in H.alpha_set) for b in H.beta_set)
-    return check_H2prime(H, delta, c.C0([H]), c.xs)
+    return check_H2prime(H, delta, c.C0(), c.xs)
 
 
 def _components_h1_h2(c):
     """(H1) and (H2) of every component with one delta and one C0: the first
     failing report, else whether delta > 0 (check_H2_bounds requires it)."""
     components = c.ham.components
-    delta, C0 = min(estimate_delta(H, c.xs) for H in components), c.C0(components)
+    delta, C0 = min(estimate_delta(H, c.xs) for H in components), c.C0()
     if not delta > 0:
         return False
     for H in components:
@@ -109,7 +112,7 @@ def _components_h1_h2(c):
 
 
 def _h2(c):
-    delta, C0 = estimate_delta(c.ham, c.xs), c.C0([c.ham])
+    delta, C0 = estimate_delta(c.ham, c.xs), c.C0()
     return delta > 0 and check_H2_bounds(c.ham, lambda _x: delta, C0, c.samples)
 
 
