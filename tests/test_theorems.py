@@ -19,7 +19,7 @@ from viscompare.hamiltonians import (GameHamiltonian, MinConvexHamiltonian, Powe
 from viscompare.operators import DriftDiffusionOperator
 from viscompare.problems import (ProblemSpec, eq13, game_problem, hje3, minconvex_problem,
                                  signswitch)
-from viscompare.systems import MonotoneSystem, system2
+from viscompare.systems import system2
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -109,7 +109,8 @@ FAILURES = [
     ("H2prime", game(1.0, 2.0), "(H2') game positivity/boundedness", "H2' game positivity"),
     ("game_growth", game_problem().with_f(quartic_dive),
      "growth hypotheses for the game route (coefficients S_1, f in S_2^+)", None),
-    ("components_indefinite", min_convex(1.0, -1.0),
+    # a component with A = -1 makes the common delta negative
+    ("components_delta", min_convex(1.0, -1.0),
      "per-component (H1)-(H2) with common constants", None),
     ("components_C0", min_convex(1.0, 4.0, C0=2.0),
      "per-component (H1)-(H2) with common constants", "H2 bounds"),
