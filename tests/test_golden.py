@@ -154,8 +154,8 @@ def _signed(a):
 QUADRATIC = {"poly": {"2": 1.0}}
 
 # (case name, subcommand, scenario) that must exit with EXIT_PREDICATE, print
-# the committed FAILED line and write no report: one per failure of the
-# check-hypotheses routes that a scenario can reach
+# the committed FAILED line and write no report: failed check-hypotheses
+# routes, one scenario per FAILED line
 PREDICATE_FAILURES = [
     # sigma = x^2 grows faster than order 1, f = 0 is in every class
     ("hypotheses_sigma_quadratic_power", "check-hypotheses",
