@@ -157,16 +157,15 @@ def check_F3_F4_growth(ext: ExtremalOperator, radii=None) -> F3F4Report:
 
 @dataclass(frozen=True)
 class GrowthHypotheses:
-    """The growth rules of the comparison theorems on one sample: strict is
-    |sigma0|, b0 in S_1 and f in S_{q'}^+; relaxed is SG_1 and SG_{q'}^+."""
+    """The growth reports the comparison theorems read, from one sample."""
 
     coeffs: F3F4Report
     f: growth.GrowthReport
-    strict: bool
-    relaxed: bool
 
     def failure(self, relaxed: bool) -> str | None:
-        """The first class the strict (relaxed) rule misses, coefficients first."""
+        """The first class the strict rule (|sigma0|, b0 in S_1, f in
+        S_{q'}^+) or the relaxed rule (SG_1, SG_{q'}^+) misses, coefficients
+        first; None when the rule holds."""
         if not (self.coeffs.relaxed if relaxed else self.coeffs.strict):
             kind = "bounded class SG_1" if relaxed else "vanishing class S_1"
             return f"|sigma0| or b0 not estimated in the order-1 {kind} on the window"
@@ -180,8 +179,7 @@ def growth_hypotheses(problem, radii) -> GrowthHypotheses:
     GROWTH_TOL on the radii (None: growth.DEFAULT_RADII)."""
     f = growth.classify_growth(problem.f_at, problem.q_prime, radii=radii, tol=GROWTH_TOL,
                                dim=problem.N)
-    c = check_F3_F4_growth(problem.extremal, radii=radii)
-    return GrowthHypotheses(c, f, c.strict and f.in_S_plus, c.relaxed and f.in_SG_plus)
+    return GrowthHypotheses(check_F3_F4_growth(problem.extremal, radii=radii), f)
 
 
 def check_A1_A3(ext: ExtremalOperator, gamma, window_radius: float = 1.0) -> CheckReport:

@@ -1,17 +1,20 @@
 """Theorem routing: which of the paper's results a problem or a system meets.
 
-ROUTES is the theorem map of the README: the first row whose shape test
-matches is the route.  Its steps (key, run, failed) run in order: each
-records whether its check passed in `checks` under key (None: not recorded)
-and stops the route with the FAILED predicate `failed` if the check failed
-(None: recorded only).  Then the growth requirement (the one rule of
-operators.growth_hypotheses; None for systems, whose component growth is a
-step) picks the verdict.  Steps look checkers up in this module's globals
-when they run, so a wrapper installed over a checker's name sees the call.
+ROUTES is the README's theorem map.  A scalar problem runs the steps of
+PREFIX (and of H_PREFIX when it has a Hamiltonian); then the first row
+whose shape test matches is the route.  Each step (key, run, failed)
+records whether its check passed in `checks` under key (None: not
+recorded); a failed check stops the route with the FAILED line `failed`
+(None: recorded only).  The growth rule of operators.growth_hypotheses then
+picks the verdict: strict, then relaxed for a row with two verdicts;
+strict, else growth_failed, for a row with one.  A system has no growth
+report.  Steps look checkers up in this module's globals when they run, so
+a wrapper installed over a checker's name sees the call.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -24,7 +27,6 @@ from .operators import (check_A1_A3, check_degenerate_ellipticity, check_F1_stan
                         check_F3_F4_growth, growth_hypotheses)
 from .systems import MonotoneSystem, check_F2prime, check_M
 
-STRICT, STRICT_THEN_RELAXED = "strict", "strict, then relaxed"
 SYSTEM_SEED = 7                  # one generator draws the (M), then the (F2') samples
 THETAS = (0.0, 0.5, 2.0)         # homogeneity factors of (H3) and (F2')
 CONVEXITY_T = (0.25, 0.5, 0.75)  # convex-combination weights of (H1)
@@ -44,12 +46,11 @@ class PredicateFailure(Exception):
 
 class Route(NamedTuple):
     """One row of the theorem map; a step's run(case) returns a CheckReport,
-    a ModulusReport or a bool.  growth_failed is the FAILED predicate of a
-    STRICT route's growth; the others name the class the relaxed rule misses."""
+    a ModulusReport or a bool.  growth_failed is the FAILED line of a scalar
+    row with one verdict when the strict growth rule fails."""
 
     shape: Callable
     steps: tuple
-    growth: str | None
     verdicts: tuple
     growth_failed: str | None
 
@@ -58,9 +59,9 @@ class _Case:
     """What the shape tests and steps of one check_hypotheses call read."""
 
     def __init__(self, target, radii):
-        self.target, self.radii = target, radii
+        self.target, self.radii, self.growth = target, radii, None
         if isinstance(target, MonotoneSystem):
-            self.rng, self.growth = np.random.default_rng(SYSTEM_SEED), None
+            self.rng = np.random.default_rng(SYSTEM_SEED)
             return
         self.ham, N = target.hamiltonian, target.N
         self.xs = xs = [np.full(N, v) for v in (-2.0, -0.5, 0.0, 0.5, 2.0)]
@@ -71,12 +72,18 @@ class _Case:
         self.samples = [(x, xi) for x in xs for xi in xis]
         self.pair_samples = [(x, y, xi) for x in xs for y in xs for xi in xis
                              if not np.array_equal(x, y)]
+        self.probe = np.linspace(-3.0, 3.0, 301).reshape(-1, 1) if N == 1 else np.array(xs)
         self.growth = growth_hypotheses(target, radii)
-        self.gamma = None
-        if isinstance(self.ham, SignedScalarHamiltonian):
-            probe = np.linspace(-3.0, 3.0, 301).reshape(-1, 1) if N == 1 else np.array(xs)
-            self.gamma = compute_gamma(self.ham, probe)
-            self.covers = self.gamma.covers(len(probe))  # a(x) is finite on the probe
+
+    @cached_property
+    def gamma(self):
+        """The sign split of a signed H on the probe, made when first read."""
+        return compute_gamma(self.ham, self.probe)
+
+    @property
+    def covers(self) -> bool:
+        """Whether a(x) is finite on the probe."""
+        return self.gamma.covers(len(self.probe))
 
     def C0(self) -> float:
         """The problem's C0, else its window estimate."""
@@ -116,12 +123,12 @@ def _h2(c):
     return delta > 0 and check_H2_bounds(c.ham, lambda _x: delta, C0, c.samples)
 
 
-ELLIPTICITY_F1 = (
+PREFIX = (
     ("degenerate_ellipticity", lambda c: check_degenerate_ellipticity(c.target.operator),
      "degenerate ellipticity"),
     ("F1_consistent", lambda c: check_F1_standard_form(c.target.operator, R=2.0), None),
 )
-H3_H4 = ELLIPTICITY_F1 + (
+H_PREFIX = (
     ("H3_homogeneity", lambda c: check_H3_homogeneity(c.ham, c.samples, thetas=THETAS),
      "(H3) positive homogeneity"),
     ("H4_consistent", lambda c: check_H4_modulus(c.ham, R=3.0, pair_samples=c.pair_samples), None),
@@ -135,31 +142,41 @@ ROUTES = (
         ("component_growth_strict", lambda c: all(
             check_F3_F4_growth(c.target.extremal(k), radii=c.radii).strict for k in range(c.target.m)),
          "component extremal data not in S_1 (strict growth)"),
-    ), None, ("Theorem 5.2 applies",), None),
-    Route(lambda c: c.ham is None, ELLIPTICITY_F1, STRICT_THEN_RELAXED,
+    ), ("Theorem 5.2 applies",), None),
+    Route(lambda c: c.ham is None, (),
           ("Proposition 3.3 applies", "Proposition 3.4 applies (lambda large)"), None),
     Route(lambda c: isinstance(c.ham, GameHamiltonian),
-          H3_H4 + (("H2prime", _h2prime, "(H2') game positivity/boundedness"),),
-          STRICT, ("Corollary 4.4 applies",),
+          (("H2prime", _h2prime, "(H2') game positivity/boundedness"),), ("Corollary 4.4 applies",),
           "growth hypotheses for the game route (coefficients S_1, f in S_2^+)"),
     Route(lambda c: isinstance(c.ham, MinConvexHamiltonian),
-          H3_H4 + (("components_H1_H2_common_constants", _components_h1_h2,
-                    "per-component (H1)-(H2) with common constants"),),
-          STRICT, ("Theorem 4.2 applies",), "growth hypotheses for the min-convex route"),
+          (("components_H1_H2_common_constants", _components_h1_h2,
+            "per-component (H1)-(H2) with common constants"),),
+          ("Theorem 4.2 applies",), "growth hypotheses for the min-convex route"),
     # a signed H with a(x) < 0 somewhere on the probe, or not finite there
-    Route(lambda c: c.gamma is not None and (len(c.gamma.omega_minus) > 0 or not c.covers), H3_H4 + (
+    Route(lambda c: isinstance(c.ham, SignedScalarHamiltonian)
+          and (len(c.gamma.omega_minus) > 0 or not c.covers), (
         (None, lambda c: c.covers, "non-finite a(x) on the sign-split probe"),
         ("A1_A3", lambda c: check_A1_A3(c.target.extremal, c.gamma, window_radius=3.0),
          "(A1) extremal data vanishing on Gamma"),
         ("A4", lambda c: check_A4(c.ham, c.gamma.gamma_points, r=1.0, C1_candidate=10.0),
          "(A4) Hamiltonian degeneracy on Gamma"),
-    ), STRICT, ("Theorem 4.1 applies",), "growth hypotheses for the sign-split route"),
-    Route(lambda c: True, H3_H4 + (
+    ), ("Theorem 4.1 applies",), "growth hypotheses for the sign-split route"),
+    Route(lambda c: True, (
         ("H1_convexity", lambda c: check_H1_convexity(c.ham, c.xs, c.xi_pairs, CONVEXITY_T),
          "(H1) convexity in the gradient"),
         ("H2_bounds", _h2, "(H2) strict positivity/boundedness"),
-    ), STRICT_THEN_RELAXED, ("Theorem 3.1 applies", "Theorem 3.2 applies (lambda >= lambda0)"), None),
+    ), ("Theorem 3.1 applies", "Theorem 3.2 applies (lambda >= lambda0)"), None),
 )
+
+
+def _run(steps, case, checks: dict):
+    for key, run, failed in steps:
+        result = run(case)
+        passed = bool(getattr(result, "passed", result))
+        if key is not None:
+            checks[key] = passed
+        if failed is not None and not passed:
+            raise PredicateFailure(failed, checks, result if isinstance(result, CheckReport) else None)
 
 
 def check_hypotheses(problem_or_system, window_radii=None) -> dict:
@@ -167,20 +184,15 @@ def check_hypotheses(problem_or_system, window_radii=None) -> dict:
     matches; raises PredicateFailure at the first failed predicate.
     window_radii are the growth radii (None: growth.DEFAULT_RADII)."""
     case = _Case(problem_or_system, tuple(float(R) for R in window_radii) if window_radii else None)
-    route = next(r for r in ROUTES if r.shape(case))
     g, checks = case.growth, {}
-    if route.growth is not None:
+    if g is not None:
         checks.update(f_in_S_qprime_plus=g.f.in_S_plus, f_in_SG_qprime_plus=g.f.in_SG_plus,
                       coeffs_strict_S1=g.coeffs.strict, coeffs_relaxed_SG1=g.coeffs.relaxed)
-    for key, run, failed in route.steps:
-        result = run(case)
-        passed = bool(getattr(result, "passed", result))
-        if key is not None:
-            checks[key] = passed
-        if failed is not None and not passed:
-            raise PredicateFailure(failed, checks, result if isinstance(result, CheckReport) else None)
-    if route.growth is None or g.strict:
+        _run(PREFIX + (H_PREFIX if case.ham is not None else ()), case, checks)
+    route = next(r for r in ROUTES if r.shape(case))
+    _run(route.steps, case, checks)
+    if g is None or g.failure(relaxed=False) is None:
         return {"verdict": route.verdicts[0], "checks": checks}
-    if route.growth == STRICT_THEN_RELAXED and g.relaxed:
+    if len(route.verdicts) > 1 and g.failure(relaxed=True) is None:
         return {"verdict": route.verdicts[1], "checks": checks}
     raise PredicateFailure(route.growth_failed or g.failure(relaxed=True), checks)

@@ -151,14 +151,20 @@ def test_each_failure_predicate_names_itself(target, predicate, check):
         assert exc.value.check.name == check and not exc.value.check.passed
 
 
+def test_a_failed_prefix_stops_before_the_sign_split_probe():
+    def a(x):
+        raise AssertionError("a(x) read before the common checks passed")
+
+    with pytest.raises(theorems.PredicateFailure) as exc:
+        theorems.check_hypotheses(custom(sigma=lambda x: np.array([[float("nan")]]), H=signed(a)))
+    assert exc.value.predicate == "degenerate ellipticity"
+
+
 def table_predicates():
-    """Every FAILED predicate written in ROUTES."""
-    found = set()
-    for route in theorems.ROUTES:
-        found.update(failed for _, _, failed in route.steps if failed is not None)
-        if route.growth_failed is not None:
-            found.add(route.growth_failed)
-    return found
+    """Every FAILED predicate written in the prefix and in ROUTES."""
+    steps = theorems.PREFIX + theorems.H_PREFIX + sum((r.steps for r in theorems.ROUTES), ())
+    growth = {r.growth_failed for r in theorems.ROUTES}
+    return ({failed for _, _, failed in steps} | growth) - {None}
 
 
 def test_the_cases_cover_every_verdict_and_predicate_of_the_table():
