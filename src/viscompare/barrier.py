@@ -37,8 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import growth
-from .fields import as_point, as_points
-from .hamiltonians import _row_dots, _scalar_pow
+from .fields import _row_dots, _scalar_pow, as_point, as_points
 from .operators import growth_hypotheses
 
 LADDER_START, LADDER_MAX = 1.0 / 16.0, 2.0**20  # lambda0 ladder: first rung, last rung
@@ -300,15 +299,10 @@ def _residual(sample: _Sample, lam: float, outer: float, alpha: float, C1: float
     """lam*Phi + P(x, D^2 Phi) - b0|D Phi| and |D Phi| at the sample points for
     Phi = outer (C1 + alpha <x>^q'), in the float order of eval_barrier and
     extremal_residual (scalar pow, the pointwise BLAS kernels): bit for bit."""
-    br, pts = sample.bracket, sample.pts
     scale = outer * alpha
-    value = outer * (C1 + alpha * _scalar_pow(br, q_prime))
-    grad = scale * ((q_prime * _scalar_pow(br, q_prime - 2.0))[:, None] * pts)
-    hess = (q_prime * _scalar_pow(br, q_prime - 4.0))[:, None, None] * (
-        _scalar_pow(br, 2)[:, None, None] * np.eye(pts.shape[1])
-        + (q_prime - 2.0) * (pts[:, :, None] * pts[:, None, :])
-    )
-    hess = scale * (0.5 * (hess + hess.swapaxes(1, 2)))
+    value = outer * (C1 + alpha * _scalar_pow(sample.bracket, q_prime))
+    grad, hess = growth.bracket_power_stacks(sample.pts, q_prime)
+    grad, hess = scale * grad, scale * hess
     gnorm = np.sqrt(_row_dots(grad))
     P = -np.trace(sample.diffusion @ hess, axis1=1, axis2=2)
     return lam * value + P - sample.b0 * gnorm, gnorm

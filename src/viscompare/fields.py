@@ -23,6 +23,17 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
     return p
 
 
+def _scalar_pow(base: np.ndarray, exponent) -> np.ndarray:
+    """Elementwise base**exponent by the scalar float pow, which numpy's
+    array power can differ from in the last bit."""
+    return np.array([b**exponent for b in base.tolist()])
+
+
+def _row_dots(G: np.ndarray) -> np.ndarray:
+    """Per-row <g_i, g_i> for G of shape (n, N), by the pointwise np.dot kernel."""
+    return (G[:, None, :] @ G[:, :, None])[:, 0, 0]
+
+
 def as_points(grid, dim: int = 1) -> np.ndarray:
     """Coerce a point set to shape (M, dim); a flat array is M points in
     1-d and a single point otherwise."""

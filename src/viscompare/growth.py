@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import as_point
+from .fields import _row_dots, _scalar_pow, as_point
 
 DEFAULT_RADII = (10.0, 100.0, 1.0e3, 1.0e4)
 SHELL_SAMPLES = 64  # directions per shell of classify_growth (2 in 1-d)
@@ -80,20 +80,28 @@ def bracket(x) -> float:
 
 
 def bracket_power_derivatives(x, q_prime: float):
-    """Gradient and Hessian of <x>^q' for q' > 1.
+    """Gradient and Hessian of <x>^q' for q' > 1 at one point: the one-row
+    case of bracket_power_stacks."""
+    grad, hess = bracket_power_stacks(as_point(x)[None], q_prime)
+    return grad[0], hess[0]
+
+
+def bracket_power_stacks(pts: np.ndarray, q_prime: float):
+    """Gradients (M, N) and symmetrized Hessians (M, N, N) of <x>^q' for
+    q' > 1 at the points pts (M, N):
 
     D<x>^q' = q' <x>^(q'-2) x
     D^2<x>^q' = q' <x>^(q'-4) (<x>^2 I + (q'-2) x (x)T)
     """
     if not q_prime > 1:
         raise ValueError(f"power derivative requires q' > 1, got {q_prime}")
-    p = as_point(x)
-    br = bracket(p)
-    grad = q_prime * br ** (q_prime - 2.0) * p
-    hess = q_prime * br ** (q_prime - 4.0) * (
-        br**2 * np.eye(p.size) + (q_prime - 2.0) * np.outer(p, p)
+    br = np.sqrt(1.0 + _row_dots(pts))
+    grad = (q_prime * _scalar_pow(br, q_prime - 2.0))[:, None] * pts
+    hess = (q_prime * _scalar_pow(br, q_prime - 4.0))[:, None, None] * (
+        _scalar_pow(br, 2)[:, None, None] * np.eye(pts.shape[1])
+        + (q_prime - 2.0) * (pts[:, :, None] * pts[:, None, :])
     )
-    return grad, 0.5 * (hess + hess.T)
+    return grad, 0.5 * (hess + hess.swapaxes(1, 2))
 
 
 def conjugate(q: float) -> float:

@@ -4,7 +4,10 @@ Four gradient-term shapes are supported: the convex power form
 <A(x) xi, xi>^(q/2), the scalar signed form a(x)|xi|^q (whose zero set
 Gamma drives the sign-split comparison route), a pointwise minimum of
 convex forms, and the inf-sup game form min_beta max_alpha of
-|sigma^T xi|^2 - |tau^T xi|^2 over finite index sets.
+|sigma^T xi|^2 - |tau^T xi|^2 over finite index sets.  Each shape's value
+and slope are written once, in its grid evaluator (on_grid), which takes
+the coefficient fields at a node set and one gradient per node; the
+pointwise H(x, xi) and H.slope(x, xi) are that evaluator at the one node x.
 
 The check_* functions sample a stated inequality and report the worst
 violation with a witness; violations are report content, not exceptions.
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import as_point, as_points
+from .fields import _row_dots, _scalar_pow, as_point, as_points
 
 FD_STEP = 1e-6      # relative central-difference step of hamiltonian_slope
 MODULUS_BINS = 8    # distance bins of the H4 and F1 modulus tables
@@ -41,15 +44,14 @@ def _coeff(value, x):
     return value(x) if callable(value) else value
 
 
-def _non_integer(half_q) -> bool:
-    return abs(half_q - round(half_q)) > 1e-12
+def _point_value(H, x, xi) -> float:
+    """H(x, xi): the grid evaluation of H at the one node x."""
+    return float(H.on_grid(as_point(x)[None]).values(as_point(xi)[None])[0])
 
 
-def _domain_error(s, x, half_q) -> HamiltonianDomainError:
-    return HamiltonianDomainError(
-        f"<A(x)xi, xi> = {s} < 0 at x = {as_point(x)} with non-integer "
-        f"q/2 = {half_q}; A(x) is not positive semidefinite there"
-    )
+def _point_slope(H, x, xi) -> np.ndarray:
+    """d/dxi H(x, xi): the grid slope of H at the one node x."""
+    return H.on_grid(as_point(x)[None]).slopes(as_point(xi)[None])[0]
 
 
 @dataclass(frozen=True)
@@ -58,25 +60,7 @@ class PowerHamiltonian:
 
     A: object  # (N,N) array or callable x -> (N,N) array
     q: float
-
-    def __call__(self, x, xi) -> float:
-        xi = as_point(xi)
-        A = np.asarray(_coeff(self.A, as_point(x)), dtype=float)
-        s = float(xi @ A @ xi)
-        half_q = 0.5 * self.q
-        if s < 0 and _non_integer(half_q):
-            raise _domain_error(s, x, half_q)
-        return float(np.sign(s) * abs(s) ** half_q) if s < 0 else s**half_q
-
-    def slope(self, x, xi) -> np.ndarray:
-        """d/dxi H = q <A xi, xi>^(q/2 - 1) A xi (0 at xi = 0 for q > 1)."""
-        xi = as_point(xi)
-        A = np.asarray(_coeff(self.A, as_point(x)), dtype=float)
-        Axi = A @ xi
-        s = float(xi @ A @ xi)
-        if s <= 0:
-            return np.zeros_like(xi) if self.q < 2 or s == 0 else self.q * s ** (0.5 * self.q - 1.0) * Axi
-        return self.q * s ** (0.5 * self.q - 1.0) * Axi
+    __call__, slope = _point_value, _point_slope
 
     def on_grid(self, points) -> "PowerGrid":
         return PowerGrid(self, points)
@@ -88,17 +72,7 @@ class SignedScalarHamiltonian:
 
     a: object  # scalar or callable x -> scalar
     q: float
-
-    def __call__(self, x, xi) -> float:
-        xi = as_point(xi)
-        return float(_coeff(self.a, as_point(x))) * float(np.linalg.norm(xi)) ** self.q
-
-    def slope(self, x, xi) -> np.ndarray:
-        xi = as_point(xi)
-        n = float(np.linalg.norm(xi))
-        if n == 0.0:
-            return np.zeros_like(xi)
-        return float(_coeff(self.a, as_point(x))) * self.q * n ** (self.q - 2.0) * xi
+    __call__, slope = _point_value, _point_slope
 
     def on_grid(self, points) -> "SignedGrid":
         return SignedGrid(self, points)
@@ -106,28 +80,12 @@ class SignedScalarHamiltonian:
 
 @dataclass(frozen=True)
 class MinConvexHamiltonian:
-    """H = min_k H_k over convex components sharing the structural q.
-
-    Ties break to the lowest component index so witnesses are deterministic.
-    """
+    """H = min_k H_k over convex components sharing the structural q; the
+    slope is that of the minimizing component, ties to the lowest index."""
 
     components: tuple
     q: float
-
-    def value_with_witness(self, x, xi):
-        best_val, best_k = None, None
-        for k, Hk in enumerate(self.components):
-            v = float(Hk(x, xi))
-            if best_val is None or v < best_val:
-                best_val, best_k = v, k
-        return best_val, best_k
-
-    def __call__(self, x, xi) -> float:
-        return self.value_with_witness(x, xi)[0]
-
-    def slope(self, x, xi) -> np.ndarray:
-        _, k = self.value_with_witness(x, xi)
-        return hamiltonian_slope(self.components[k], x, xi)
+    __call__, slope = _point_value, _point_slope
 
     def on_grid(self, points) -> "MinConvexGrid":
         return MinConvexGrid(self, points)
@@ -148,16 +106,11 @@ class GameHamiltonian:
     sigma: object  # callable (x, alpha, beta) -> (N, n) array
     tau: object
     q: float = field(default=2.0, init=False)
+    __call__, slope = _point_value, _point_slope
 
     def __post_init__(self):
         if not self.alpha_set or not self.beta_set:
             raise ValueError("index sets must be nonempty")
-
-    def term(self, x, xi, alpha, beta) -> float:
-        x, xi = as_point(x), as_point(xi)
-        s = np.asarray(self.sigma(x, alpha, beta), dtype=float)
-        t = np.asarray(self.tau(x, alpha, beta), dtype=float)
-        return float(np.dot(s.T @ xi, s.T @ xi) - np.dot(t.T @ xi, t.T @ xi))
 
     def S(self, x, alpha, beta) -> np.ndarray:
         s = np.atleast_2d(np.asarray(self.sigma(as_point(x), alpha, beta), dtype=float))
@@ -166,27 +119,6 @@ class GameHamiltonian:
     def T(self, x, alpha, beta) -> np.ndarray:
         t = np.atleast_2d(np.asarray(self.tau(as_point(x), alpha, beta), dtype=float))
         return t @ t.T
-
-    def value_with_witness(self, x, xi):
-        best_min, wit = None, (None, None)
-        for ib, beta in enumerate(self.beta_set):
-            best_max, ia_best = None, None
-            for ia, alpha in enumerate(self.alpha_set):
-                v = self.term(x, xi, alpha, beta)
-                if best_max is None or v > best_max:
-                    best_max, ia_best = v, ia
-            if best_min is None or best_max < best_min:
-                best_min, wit = best_max, (ia_best, ib)
-        return best_min, wit
-
-    def __call__(self, x, xi) -> float:
-        return self.value_with_witness(x, xi)[0]
-
-    def slope(self, x, xi) -> np.ndarray:
-        xi = as_point(xi)
-        _, (ia, ib) = self.value_with_witness(x, xi)
-        alpha, beta = self.alpha_set[ia], self.beta_set[ib]
-        return 2.0 * (self.S(x, alpha, beta) - self.T(x, alpha, beta)) @ xi
 
     def on_grid(self, points) -> "GameGrid":
         return GameGrid(self, points)
@@ -207,14 +139,16 @@ def hamiltonian_slope(H, x, xi) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# whole-array evaluation on a fixed node set
+# whole-array evaluation on a fixed node set: the one formula of each shape
 #
-# A grid evaluator is built once per node set: it evaluates the coefficient
-# fields there, and its values(G) / slopes(G) take one gradient per node
-# (G has shape (n, N)).  Every entry equals the pointwise H(x, xi) /
-# hamiltonian_slope(H, x, xi) bit for bit: the stacked products below run
-# the same BLAS kernels as the pointwise `@`, and powers go through the
-# same scalar float pow (numpy's array power can differ in the last bit).
+# A grid evaluator is built once per node set (shape (n, N)): it evaluates
+# the coefficient fields there, and its values(G) / slopes(G) take one
+# gradient per node (G has shape (n, N)).  These are the only value and
+# slope formulas of the built-in shapes; the pointwise H(x, xi) and
+# H.slope(x, xi) build the evaluator at the one node x.  The stacked
+# products use the per-node BLAS kernels and powers go through the scalar
+# float pow (numpy's array power can differ in the last bit), so a node's
+# entry does not depend on the other nodes of the set.
 
 
 def on_grid(H, points):
@@ -229,15 +163,6 @@ def on_grid(H, points):
     if hasattr(H, "on_grid"):
         return H.on_grid(points)
     return NodewiseGrid(H, points)
-
-
-def _scalar_pow(base: np.ndarray, exponent) -> np.ndarray:
-    return np.array([b**exponent for b in base.tolist()])
-
-
-def _row_dots(G: np.ndarray) -> np.ndarray:
-    """Per-row <g_i, g_i> for G of shape (n, N), by the pointwise np.dot kernel."""
-    return (G[:, None, :] @ G[:, :, None])[:, 0, 0]
 
 
 def _quadratic_forms(M: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -273,21 +198,24 @@ class NodewiseGrid:
 
 
 class PowerGrid:
-    """<A xi, xi>^(q/2) with the (n, N, N) stack of A(x) at the nodes."""
+    """<A xi, xi>^(q/2) with the (n, N, N) stack of A(x) at the nodes; its
+    slope q <A xi, xi>^(q/2 - 1) A xi is 0 at xi = 0."""
 
     def __init__(self, H: PowerHamiltonian, points):
         self.q = H.q
         self.points = points
-        self.A = np.array([np.asarray(_coeff(H.A, as_point(x)), dtype=float) for x in points])
+        self.A = np.array([np.asarray(_coeff(H.A, x), dtype=float) for x in points])
 
     def values(self, G):
         s = _quadratic_forms(self.A, G)
         half_q = 0.5 * self.q
-        if _non_integer(half_q):
+        if abs(half_q - round(half_q)) > 1e-12:
             bad = np.flatnonzero(s < 0)
             if bad.size:
                 i = int(bad[0])
-                raise _domain_error(float(s[i]), self.points[i], half_q)
+                raise HamiltonianDomainError(
+                    f"<A(x)xi, xi> = {float(s[i])} < 0 at x = {self.points[i]} with non-integer "
+                    f"q/2 = {half_q}; A(x) is not positive semidefinite there")
         return np.array([-(abs(v) ** half_q) if v < 0 else v**half_q for v in s.tolist()])
 
     def slopes(self, G):
@@ -304,7 +232,7 @@ class SignedGrid:
 
     def __init__(self, H: SignedScalarHamiltonian, points):
         self.q = H.q
-        self.a = np.array([float(_coeff(H.a, as_point(x))) for x in points])
+        self.a = np.array([float(_coeff(H.a, x)) for x in points])
 
     def values(self, G):
         return self.a * _scalar_pow(np.sqrt(_row_dots(G)), self.q)
@@ -344,7 +272,7 @@ class GameGrid:
 
     def __init__(self, H: GameHamiltonian, points):
         def stack(fn):
-            return np.array([[[np.asarray(fn(as_point(x), a, b), dtype=float)
+            return np.array([[[np.asarray(fn(x, a, b), dtype=float)
                                for b in H.beta_set] for a in H.alpha_set]
                              for x in points])
 
@@ -414,12 +342,15 @@ class ModulusReport:
 
 @dataclass(frozen=True)
 class GammaPartition:
-    """Sampled split of a grid by the sign of the signed coefficient a."""
+    """Sampled split of a grid by the sign of the signed coefficient a;
+    sign holds, per grid point in grid order, 1 (Omega+), -1 (Omega-), 0
+    (Gamma) or nan (a not finite)."""
 
     gamma_points: np.ndarray
     omega_plus: np.ndarray
     omega_minus: np.ndarray
     tol: float
+    sign: np.ndarray
 
     def covers(self, n_points: int) -> bool:
         return len(self.gamma_points) + len(self.omega_plus) + len(self.omega_minus) == n_points
@@ -585,15 +516,11 @@ def compute_gamma(signed: SignedScalarHamiltonian, grid) -> GammaPartition:
     pts = as_points(grid)
     if pts.size == 0:
         raise ValueError("grid must be nonempty")
-    avals = np.array([float(_coeff(signed.a, p)) for p in pts])
+    avals = SignedGrid(signed, pts).a
     finite = np.isfinite(avals)
     tol = GAMMA_REL_TOL * (1.0 + float(np.abs(avals[finite]).max(initial=0.0)))
-    return GammaPartition(
-        gamma_points=pts[np.abs(avals) <= tol],
-        omega_plus=pts[finite & (avals > tol)],
-        omega_minus=pts[finite & (avals < -tol)],
-        tol=tol,
-    )
+    sign = np.where(finite, np.where(np.abs(avals) <= tol, 0.0, np.sign(avals)), np.nan)
+    return GammaPartition(pts[sign == 0], pts[sign > 0], pts[sign < 0], tol, sign)
 
 
 def check_A4(H, gamma_points, r: float, C1_candidate: float) -> CheckReport:
@@ -636,24 +563,18 @@ def estimate_delta(H, x_samples) -> float:
     For the signed form: the minimum of a(x).
     """
     if isinstance(H, PowerHamiltonian):
-        return min(
-            float(np.linalg.eigvalsh(np.asarray(_coeff(H.A, as_point(x)), dtype=float)).min())
-            for x in x_samples
-        )
+        return float(np.linalg.eigvalsh(H.on_grid(as_points(x_samples)).A).min())
     if isinstance(H, SignedScalarHamiltonian):
-        return min(float(_coeff(H.a, as_point(x))) for x in x_samples)
+        return float(H.on_grid(as_points(x_samples)).a.min())
     raise ValueError(f"no delta estimator for {type(H).__name__}")
 
 
 def estimate_C0(H, x_samples) -> float:
     """Window estimate of the upper-bound coefficient C0 for (H2)."""
     if isinstance(H, PowerHamiltonian):
-        return max(
-            float(np.linalg.eigvalsh(np.asarray(_coeff(H.A, as_point(x)), dtype=float)).max())
-            for x in x_samples
-        )
+        return float(np.linalg.eigvalsh(H.on_grid(as_points(x_samples)).A).max())
     if isinstance(H, SignedScalarHamiltonian):
-        return max(abs(float(_coeff(H.a, as_point(x)))) for x in x_samples)
+        return float(np.abs(H.on_grid(as_points(x_samples)).a).max())
     if isinstance(H, MinConvexHamiltonian):
         return max(estimate_C0(Hk, x_samples) for Hk in H.components)
     if isinstance(H, GameHamiltonian):

@@ -156,6 +156,9 @@ class DiscreteOperator:
         # diffusion restricted to (near-)diagonal sigma sigma^T in 2-d:
         # cross-derivative monotone stencils are out of scope
         diff = np.array([problem.operator.diffusion(x) for x in self.points_int])
+        _require_finite("sigma sigma^T", diff, self.points_int)
+        self.bdrift = np.array([problem.operator.b_at(x) for x in self.points_int])
+        _require_finite("b", self.bdrift, self.points_int)
         if problem.N == 2:
             off = np.abs(diff[:, 0, 1])
             scale = 1.0 + np.abs(diff[:, 0, 0]) + np.abs(diff[:, 1, 1])
@@ -167,7 +170,6 @@ class DiscreteOperator:
                     f"sigma sigma^T off-diagonal {diff[bad[0], 0, 1]:.3g}"
                 )
         self.D = [diff[:, ax, ax] for ax in range(problem.N)]
-        self.bdrift = np.array([problem.operator.b_at(x) for x in self.points_int])
         # values(G) / slopes(G) of the gradient term at the interior nodes
         self.hamiltonian = on_grid(problem.hamiltonian, self.points_int)
 
@@ -269,6 +271,14 @@ class DiscreteOperator:
         return A, monotone
 
 
+def _require_finite(name: str, values: np.ndarray, points: np.ndarray) -> None:
+    """Refuse non-finite data given per node (first axis), naming the first
+    such node of points."""
+    bad = ~np.isfinite(values.reshape(len(points), -1)).all(axis=1)
+    if bad.any():
+        raise ValueError(f"{name} is not finite at node {points[np.argmax(bad)]}")
+
+
 def _boundary_values(disc: DiscreteOperator, boundary) -> np.ndarray:
     fn = boundary if callable(boundary) else (lambda x, v=float(boundary): v)
     u = np.zeros(disc.shape)
@@ -303,6 +313,8 @@ def _solve(disc: DiscreteOperator, u_boundary: np.ndarray, f_int: np.ndarray,
     right-hand side."""
     config = config or SchemeConfig()
     problem = disc.problem
+    _require_finite("f", f_int, disc.points_int)
+    _require_finite("boundary value", u_boundary, _mesh_points(disc.axes))
 
     u = u_boundary.copy()
     sl = tuple(slice(1, -1) for _ in disc.shape)

@@ -24,7 +24,7 @@ from .hamiltonians import (CheckReport, GameHamiltonian, MinConvexHamiltonian,
                            check_H2prime, check_H3_homogeneity, check_H4_modulus, compute_gamma,
                            estimate_C0, estimate_delta)
 from .operators import (check_A1_A3, check_degenerate_ellipticity, check_F1_standard_form,
-                        check_F3_F4_growth, growth_hypotheses)
+                        growth_hypotheses)
 from .systems import MonotoneSystem, check_F2prime, check_M
 
 SYSTEM_SEED = 7                  # one generator draws the (M), then the (F2') samples
@@ -79,6 +79,12 @@ class _Case:
     def gamma(self):
         """The sign split of a signed H on the probe, made when first read."""
         return compute_gamma(self.ham, self.probe)
+
+    @cached_property
+    def component_growth(self):
+        """The growth hypotheses of each component of a system."""
+        return [growth_hypotheses(self.target.scalar_problem(k), self.radii)
+                for k in range(self.target.m)]
 
     @property
     def covers(self) -> bool:
@@ -139,9 +145,10 @@ ROUTES = (
                                             c.rng.uniform(-2, 2, c.target.m)) for _ in range(400)]),
          "(M) monotone coupling"),
         ("F2prime", _f2prime, "(F2') homogeneity"),
-        ("component_growth_strict", lambda c: all(
-            check_F3_F4_growth(c.target.extremal(k), radii=c.radii).strict for k in range(c.target.m)),
+        ("component_growth_strict", lambda c: all(g.coeffs.strict for g in c.component_growth),
          "component extremal data not in S_1 (strict growth)"),
+        (None, lambda c: all(g.f.in_S_plus for g in c.component_growth),
+         "component f not in S_{q'}^+ (strict growth)"),
     ), ("Theorem 5.2 applies",), None),
     Route(lambda c: c.ham is None, (),
           ("Proposition 3.3 applies", "Proposition 3.4 applies (lambda large)"), None),
@@ -156,6 +163,10 @@ ROUTES = (
     Route(lambda c: isinstance(c.ham, SignedScalarHamiltonian)
           and (len(c.gamma.omega_minus) > 0 or not c.covers), (
         (None, lambda c: c.covers, "non-finite a(x) on the sign-split probe"),
+        # neighbouring probe points with strictly opposite signs: Gamma lies
+        # between them, unsampled, and (A1) would pass vacuously
+        (None, lambda c: not (c.gamma.sign[:-1] * c.gamma.sign[1:] < 0).any(),
+         "(A1) Gamma missed: a(x) changes sign between probe points"),
         ("A1_A3", lambda c: check_A1_A3(c.target.extremal, c.gamma, window_radius=3.0),
          "(A1) extremal data vanishing on Gamma"),
         ("A4", lambda c: check_A4(c.ham, c.gamma.gamma_points, r=1.0, C1_candidate=10.0),

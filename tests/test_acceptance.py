@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 import pytest
+from pointwise_oracle import game_term
 
 from viscompare.barrier import Window, construct_barrier, lambda0_for_SG, verify_strict
 from viscompare.fields import Polynomial
@@ -262,7 +263,7 @@ def test_criterion_9_game_hamiltonian():
             lambda x, a, b, s=sigmas: s[a][b], lambda x, a, b, t=taus: t[a][b])
         x, xi = rng.normal(size=N), rng.normal(size=N)
         brute = min(
-            max(H.term(x, xi, a, b) for a in range(na)) for b in range(nb)
+            max(game_term(H, x, xi, a, b) for a in range(na)) for b in range(nb)
         )
         worst_eval = max(worst_eval, abs(H(x, xi) - brute))
     worst_dec = 0.0

@@ -198,3 +198,13 @@ def test_directions_dims_2_and_3():
     rep3 = classify_growth(lambda x: float(np.dot(x, x)), 2.0, dim=3,
                            radii=(10.0, 100.0))
     assert rep3.in_S_plus
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_nan_on_one_shell_direction_fails_closed(dim):
+    # NaN on the first shell direction (the positive x_0 axis), 1 elsewhere:
+    # every shell infimum is NaN, so no class is claimed
+    h = lambda x: float("nan") if x[0] > 0 and not np.any(x[1:]) else 1.0
+    rep = classify_growth(h, 2.0, dim=dim)
+    assert not rep.in_S_plus and not rep.in_SG_plus
+    assert np.isnan(rep.liminf_plus)

@@ -1,5 +1,8 @@
 import numpy as np
+import pointwise_oracle as oracle
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from viscompare.fields import as_point
 from viscompare.hamiltonians import (
@@ -43,10 +46,10 @@ class Shifted:
 
 
 def brute_force_game(H, x, xi):
-    """Independent oracle: direct min-max enumeration."""
+    """Independent oracle: direct min-max enumeration of the oracle's terms."""
     vals_b = []
     for b in H.beta_set:
-        vals_b.append(max(H.term(x, xi, a, b) for a in H.alpha_set))
+        vals_b.append(max(oracle.game_term(H, x, xi, a, b) for a in H.alpha_set))
     return min(vals_b)
 
 
@@ -334,9 +337,10 @@ def test_min_convex_witness_invariant():
     rng = np.random.default_rng(11)
     for _ in range(50):
         x, xi = rng.normal(size=1), rng.normal(size=1)
-        v, k = H.value_with_witness(x, xi)
+        v, k = oracle.min_convex_value_with_witness(H, x, xi)
         assert all(v <= comps[j](x, xi) + 1e-14 for j in range(2))
         assert v == pytest.approx(comps[k](x, xi))
+        assert H(x, xi) == v
 
 
 def test_compute_gamma_linear():
@@ -444,7 +448,7 @@ def test_generic_slope_fd_dispatch():
 
 
 # ---------------------------------------------------------------------------
-# grid evaluators against the pointwise forms
+# grid evaluators against the pointwise oracle (tests/pointwise_oracle.py)
 
 
 def grid_inputs(N, n=60, seed=0):
@@ -459,12 +463,16 @@ def grid_inputs(N, n=60, seed=0):
 
 
 def assert_grid_matches_pointwise(H, points, G):
+    """The grid and the one-node calls H(x, g), hamiltonian_slope(H, x, g)
+    equal the pointwise oracle at every node."""
     grid = on_grid(H, points)
-    want_v = np.array([H(x, g) for x, g in zip(points, G)])
-    want_s = np.array([hamiltonian_slope(H, x, g) for x, g in zip(points, G)])
+    want_v = np.array([oracle.value(H, x, g) for x, g in zip(points, G)])
+    want_s = np.array([oracle.slope(H, x, g) for x, g in zip(points, G)])
     got_v, got_s = grid.values(G), grid.slopes(G)
     assert np.array_equal(got_v, want_v)
     assert np.array_equal(got_s, want_s)
+    assert np.array_equal([H(x, g) for x, g in zip(points, G)], want_v)
+    assert np.array_equal([hamiltonian_slope(H, x, g) for x, g in zip(points, G)], want_s)
     return got_v, got_s
 
 
@@ -502,10 +510,13 @@ def test_power_grid_domain_error_names_first_node():
     s = G[:, 0] ** 2 - G[:, 1] ** 2
     first = int(np.flatnonzero(s < 0)[0])
     with pytest.raises(HamiltonianDomainError) as pointwise:
-        H(points[first], G[first])
+        oracle.power_value(H, points[first], G[first])
     with pytest.raises(HamiltonianDomainError) as grid:
         on_grid(H, points).values(G)
     assert str(grid.value) == str(pointwise.value)
+    with pytest.raises(HamiltonianDomainError) as one_node:
+        H(points[first], G[first])
+    assert str(one_node.value) == str(pointwise.value)
     assert f"at x = {points[first]}" in str(grid.value)
 
 
@@ -543,6 +554,12 @@ def test_minconvex_grid_nodewise_component():
     assert_grid_matches_pointwise(H, points, G)
 
 
+def x_dependent_game():
+    return GameHamiltonian((0, 1), (0, 1, 2),
+                           lambda x, a, b: np.diag(1.0 + 0.1 * (a + 1) * np.abs(x) + 0.05 * b),
+                           lambda x, a, b: 0.2 * np.diag(np.cos(x + a - b)))
+
+
 @pytest.mark.parametrize("N", [1, 2])
 def test_game_grid_matches_pointwise_lowest_index_on_ties(N):
     points, G = grid_inputs(N, seed=17)
@@ -560,10 +577,7 @@ def test_game_grid_matches_pointwise_lowest_index_on_ties(N):
         want = 2.0 * (np.diag([1.0, 4.0]) - 0.0625 * I) @ np.ones(2)
         assert np.array_equal(slopes[4], want)
     # x-dependent sigma through the whole stack
-    Hx = GameHamiltonian((0, 1), (0, 1, 2),
-                         lambda x, a, b: np.diag(1.0 + 0.1 * (a + 1) * np.abs(x) + 0.05 * b),
-                         lambda x, a, b: 0.2 * np.diag(np.cos(x + a - b)))
-    assert_grid_matches_pointwise(Hx, points, G)
+    assert_grid_matches_pointwise(x_dependent_game(), points, G)
 
 
 def test_nodewise_and_zero_grids():
@@ -572,3 +586,41 @@ def test_nodewise_and_zero_grids():
     zero = on_grid(None, points)
     assert np.array_equal(zero.values(G), np.zeros(len(points)))
     assert np.array_equal(zero.slopes(G), np.zeros_like(G))
+
+
+SHAPES = {
+    "power": lambda N: PowerHamiltonian(A=poly_matrix(N), q=3.0),
+    "signed": lambda N: SignedScalarHamiltonian(a=lambda x: float(x[0]) ** 3 - 0.5, q=1.5),
+    "min_convex": lambda N: MinConvexHamiltonian(
+        components=(PowerHamiltonian(A=poly_matrix(N), q=2.0),
+                    SignedScalarHamiltonian(a=0.75, q=2.0)), q=2.0),
+    "game": lambda N: x_dependent_game(),
+}
+coordinate = st.floats(-2.0, 2.0)
+gradient = st.sampled_from([0.0, -0.0]) | st.floats(-5.0, 5.0)
+nodes = st.lists(st.tuples(st.tuples(coordinate, coordinate), st.tuples(gradient, gradient)),
+                 min_size=1, max_size=4)
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("N", [1, 2])
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(nodes=nodes)
+@example(nodes=[((0.5, -1.0), (0.0, 0.0)), ((0.5, -1.0), (-0.0, -0.0)), ((0.0, 0.0), (-0.0, 1.0))])
+def test_one_node_calls_and_grids_equal_the_oracle_bit_for_bit(shape, N, nodes):
+    """H(x, xi), H.slope(x, xi) and the grid's values and slopes over all the
+    nodes at once equal the pointwise oracle, signed zeros included."""
+    H = SHAPES[shape](N)
+    points = np.array([x[:N] for x, _ in nodes])
+    G = np.array([g[:N] for _, g in nodes])
+    want_v = [oracle.value(H, x, g) for x, g in zip(points, G)]
+    want_s = [oracle.slope(H, x, g) for x, g in zip(points, G)]
+    assert bits([H(x, g) for x, g in zip(points, G)]) == bits(want_v)
+    assert bits([H.slope(x, g) for x, g in zip(points, G)]) == bits(want_s)
+    grid = on_grid(H, points)
+    assert bits(grid.values(G)) == bits(want_v)
+    assert bits(grid.slopes(G)) == bits(want_s)

@@ -436,3 +436,44 @@ def test_nonuniqueness_branches_share_one_grid_operator(monkeypatch):
     monkeypatch.setattr(DiscreteOperator, "__init__", counting_init)
     rep = nonuniqueness_demo("eq12", Box((0.0,), (2.0,)), 0.1)
     assert len(rep.branches) == 2 and len(built) == 1
+
+
+# ---------------------------------------------------------------------------
+# non-finite data are refused before the first Newton step, by name and node
+
+
+def nan_at(point, value):
+    """The coefficient value(x), with every entry NaN at the node point."""
+    return lambda x: np.full_like(value(x), np.nan) if np.allclose(x, point) else value(x)
+
+
+def signed_problem(sigma=lambda x: np.eye(1), b=lambda x: np.zeros(1), f=lambda x: 0.0, N=1):
+    op = DriftDiffusionOperator(sigma=sigma, b=b, N=N)
+    return ProblemSpec(N=N, lam=1.0, operator=op, q=2.0, f=f,
+                       hamiltonian=SignedScalarHamiltonian(a=1.0, q=2.0))
+
+
+LINE = Box(center=(0.0,), half_width=(1.0,))
+
+
+@pytest.mark.parametrize("problem, box, boundary, message", [
+    (signed_problem(f=lambda x: float("nan") if np.isclose(x[0], 0.5) else 0.0), LINE, 0.0,
+     r"f is not finite at node \[0\.5\]"),
+    (signed_problem(), LINE, lambda x: float("nan") if x[0] > 0 else 0.0,
+     r"boundary value is not finite at node \[1\.\]"),
+    (signed_problem(b=nan_at([-0.5], lambda x: np.zeros(1))), LINE, 0.0,
+     r"b is not finite at node \[-0\.5\]"),
+    # a NaN sigma in 2-d passed the diagonal-diffusion test: NaN compares false
+    (signed_problem(sigma=nan_at([0.5, 0.0], lambda x: np.eye(2)), b=lambda x: np.zeros(2), N=2),
+     Box(center=(0.0, 0.0), half_width=(1.0, 1.0)), 0.0,
+     r"sigma sigma\^T is not finite at node \[0\.5 0\. \]"),
+], ids=["f", "boundary", "b", "sigma_2d"])
+def test_solve_refuses_non_finite_data_naming_the_node(problem, box, boundary, message):
+    with pytest.raises(ValueError, match=message):
+        solve(problem, box, 0.25, boundary)
+
+
+def test_comparison_check_refuses_non_finite_f_naming_the_node():
+    f_high = lambda x: float("nan") if np.isclose(x[0], -0.25) else 1.0
+    with pytest.raises(ValueError, match=r"f is not finite at node \[-0\.25\]"):
+        comparison_check(signed_problem(), LINE, 0.25, lambda x: 0.0, f_high, 0.0, 0.0)

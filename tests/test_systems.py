@@ -302,3 +302,10 @@ def test_solve_system_samples_each_component_once_per_node():
     _, rep = solve_system(system, Box((0.0,), (2.0,)), 0.1, [0.2, -0.3])
     assert rep.converged and rep.sweeps == 11
     assert len(calls) == 2 * 39  # two components, 39 interior nodes each
+
+
+def test_solve_system_refuses_non_finite_f_naming_the_node():
+    f0 = lambda x: float("nan") if np.isclose(x[0], 0.5) else 0.0
+    system = system2("mean", c=0.5, f_list=[f0, 0.0])
+    with pytest.raises(ValueError, match=r"f is not finite at node \[0\.5\]"):
+        solve_system(system, Box(center=(0.0,), half_width=(1.0,)), 0.25, [0.0, 0.0])

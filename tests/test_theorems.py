@@ -103,6 +103,9 @@ FAILURES = [
         system2("none"), operator=lambda k: DriftDiffusionOperator(
             sigma=np.eye(1), b=lambda x: np.array([float(x[0])]), N=1)),
      "component extremal data not in S_1 (strict growth)", None),
+    # component 0 alone fails with f not in SG_{q'}^+
+    ("component_f", system2("mean", c=0.5, f_list=[quartic_dive, 0.0]),
+     "component f not in S_{q'}^+ (strict growth)", None),
     ("ellipticity", custom(sigma=lambda x: np.array([[float("nan")]]), H=power(1.0)),
      "degenerate ellipticity", "degenerate ellipticity"),
     ("H3", custom(H=Shifted(0.5)), "(H3) positive homogeneity", "H3 homogeneity"),
@@ -119,6 +122,10 @@ FAILURES = [
     # a(x) = x up to 2.5 and NaN beyond, on the probe [-3, 3]
     ("non_finite_a", custom(H=signed(nan_beyond(2.5))),
      "non-finite a(x) on the sign-split probe", None),
+    # a(x) = x - 0.05 changes sign between the probe points 0.04 and 0.06,
+    # so Gamma holds no probe point
+    ("gamma_between_probe_points", custom(H=signed(lambda x: float(x[0]) - 0.05)),
+     "(A1) Gamma missed: a(x) changes sign between probe points", None),
     ("A1", custom(H=signed(linear)), "(A1) extremal data vanishing on Gamma",
      "A1/A3 Gamma degeneracy + local Lipschitz"),
     ("A4", custom(sigma=0.0, H=signed(linear)), "(A4) Hamiltonian degeneracy on Gamma",

@@ -1,4 +1,5 @@
-"""Print the size of the library: src/ line count and defaulted public parameters.
+"""Print the size of the library: src/ line count, each module's line count
+and the defaulted public parameters.
 
 Usage: python tools/src_size.py [SRC_DIR]   (default: src/ beside this folder)
 
@@ -32,13 +33,15 @@ def defaulted_public_parameters(tree: ast.AST) -> list[str]:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     src = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src"
-    lines, params = 0, []
+    per_module, params = {}, []
     for path in sorted(src.rglob("*.py")):
         text = path.read_text()
-        lines += len(text.splitlines())
+        per_module[path.relative_to(src).as_posix()] = len(text.splitlines())
         params += defaulted_public_parameters(ast.parse(text, filename=str(path)))
-    print(f"src lines: {lines}")
+    print(f"src lines: {sum(per_module.values())}")
     print(f"defaulted public parameters: {len(params)}")
+    for name, lines in per_module.items():
+        print(f"  {lines:6d}  {name}")
     return 0
 
 
