@@ -356,35 +356,42 @@ class GammaPartition:
         return len(self.gamma_points) + len(self.omega_plus) + len(self.omega_minus) == n_points
 
 
+def _grid_values(H, cases) -> np.ndarray:
+    """H at each (x, xi) of cases, in order, from one grid."""
+    pts, G = (np.array([as_point(c[k]) for c in cases]) for k in (0, 1))
+    return on_grid(H, pts).values(G) if cases else np.zeros(0)
+
+
 def check_H1_convexity(H, x_samples, xi_pairs, t_samples) -> CheckReport:
     """Sample H(x, t xi1 + (1-t) xi2) <= t H(x,xi1) + (1-t) H(x,xi2) + CHECK_TOL."""
-    gaps, cases = [], []
-    for x in x_samples:
+    for t in t_samples:
+        if not 0.0 < t < 1.0:
+            raise ValueError(f"t samples must lie in (0,1), got {t}")
+    t = np.array(t_samples, dtype=float)
+    evaluated, cases = [], []
+    for x in x_samples:  # per x and pair: H at xi1, xi2, then at each mix
         for xi1, xi2 in xi_pairs:
             xi1, xi2 = as_point(xi1), as_point(xi2)
-            v1, v2 = float(H(x, xi1)), float(H(x, xi2))
-            for t in t_samples:
-                if not 0.0 < t < 1.0:
-                    raise ValueError(f"t samples must lie in (0,1), got {t}")
-                gaps.append(float(H(x, t * xi1 + (1.0 - t) * xi2)) - (t * v1 + (1.0 - t) * v2))
-                cases.append((np.asarray(x), xi1, xi2, t))
-    worst, i = worst_case(gaps, -np.inf, larger=True)
+            evaluated += [(x, xi) for xi in (xi1, xi2, *(ti * xi1 + (1.0 - ti) * xi2 for ti in t))]
+            cases += [(np.asarray(x), xi1, xi2, ti) for ti in t_samples]
+    v = _grid_values(H, evaluated).reshape(-1, 2 + len(t))
+    worst, i = worst_case((v[:, 2:] - (t * v[:, :1] + (1.0 - t) * v[:, 1:2])).ravel(), -np.inf,
+                          larger=True)
     return CheckReport("H1 convexity", worst <= CHECK_TOL, worst, None if i is None else cases[i])
 
 
 def check_H2_bounds(H, delta, C0: float, samples) -> CheckReport:
     """Sample delta(x)|xi|^q <= H(x,xi) <= C0 |xi|^q; report the worst slack."""
-    slacks, cases = [], []
+    d, cases = [], []
     for x, xi in samples:
-        xi = as_point(xi)
-        d = float(_coeff(delta, as_point(x)))
-        if not d > 0:
-            raise ValueError(f"delta must be positive on samples, got {d} at x={x}")
-        nq = float(np.linalg.norm(xi)) ** H.q
-        v = float(H(x, xi))
-        slacks += [v - d * nq, C0 * nq - v]
-        cases += [(np.asarray(x), xi, "lower"), (np.asarray(x), xi, "upper")]
-    worst, i = worst_case(slacks, np.inf, larger=False)
+        d.append(float(_coeff(delta, as_point(x))))
+        if not d[-1] > 0:
+            raise ValueError(f"delta must be positive on samples, got {d[-1]} at x={x}")
+        cases += [(np.asarray(x), as_point(xi), "lower"), (np.asarray(x), as_point(xi), "upper")]
+    v = _grid_values(H, cases[::2])
+    nq = np.array([float(np.linalg.norm(xi)) ** H.q for _, xi, _ in cases[::2]])
+    worst, i = worst_case(np.column_stack([v - np.array(d) * nq, C0 * nq - v]).ravel(), np.inf,
+                          larger=False)
     return CheckReport("H2 bounds", worst >= -CHECK_TOL, worst, None if i is None else cases[i])
 
 
@@ -432,8 +439,7 @@ def check_H4_modulus(H, R: float, pair_samples) -> ModulusReport:
     separations (within CHECK_TOL) and the smallest-bin value has decayed to
     at most half the largest; an estimate of continuity, not a certificate.
     """
-    q = H.q
-    dists, ratios = [], []
+    cases, dists, nq = [], [], []
     for x, y, xi in pair_samples:
         x, y, xi = as_point(x), as_point(y), as_point(xi)
         if np.linalg.norm(x) > R + 1e-12 or np.linalg.norm(y) > R + 1e-12:
@@ -442,18 +448,17 @@ def check_H4_modulus(H, R: float, pair_samples) -> ModulusReport:
         if n == 0.0:
             raise ValueError("xi samples must be nonzero")
         dists.append(float(np.linalg.norm(x - y)))
-        ratios.append(abs(float(H(x, xi)) - float(H(y, xi))) / n**q)
+        nq.append(n**H.q)
+        cases += [(x, xi), (y, xi)]
+    v = _grid_values(H, cases)
+    ratios = np.abs(v[0::2] - v[1::2]) / np.array(nq)
     edges, values = binned_max(dists, ratios)
     filled = [v for v in values if not np.isnan(v)]
     monotone = all(a <= b + CHECK_TOL for a, b in zip(filled, filled[1:]))
     decays = (not filled) or filled[0] <= 0.5 * filled[-1] + CHECK_TOL
-    return ModulusReport(
-        "H4 modulus",
-        tuple(edges),
-        tuple(values),
-        not np.isnan(ratios).any() and monotone and decays,
-        notes="empirical binned modulus; consistent-with check only",
-    )
+    return ModulusReport("H4 modulus", tuple(edges), tuple(values),
+                         not np.isnan(ratios).any() and monotone and decays,
+                         notes="empirical binned modulus; consistent-with check only")
 
 
 def check_H2prime(game: GameHamiltonian, delta, C0: float, x_samples) -> CheckReport:
@@ -467,21 +472,17 @@ def check_H2prime(game: GameHamiltonian, delta, C0: float, x_samples) -> CheckRe
     for ix, x in enumerate(x_samples):
         d = float(_coeff(delta, as_point(x)))
         for ib, beta in enumerate(game.beta_set):
-            found = None
             margin_best = -np.inf
             for ia, alpha in enumerate(game.alpha_set):
                 gap = game.S(x, alpha, beta) - game.T(x, alpha, beta)
                 margin = float(np.linalg.eigvalsh(0.5 * (gap + gap.T)).min()) - d
                 margin_best = max(margin_best, margin)
                 if margin >= -CHECK_TOL:
-                    found = ia
+                    alpha_witnesses[(ix, ib)] = ia
                     break
-            worst = min(worst, margin_best)
-            if found is None:
-                failures.append(("(ii)", ix, ib, margin_best))
             else:
-                alpha_witnesses[(ix, ib)] = found
-        found_b = None
+                failures.append(("(ii)", ix, ib, margin_best))
+            worst = min(worst, margin_best)
         bound_best = np.inf
         for ib, beta in enumerate(game.beta_set):
             sup_norm = max(
@@ -490,12 +491,10 @@ def check_H2prime(game: GameHamiltonian, delta, C0: float, x_samples) -> CheckRe
             )
             bound_best = min(bound_best, sup_norm)
             if sup_norm <= C0 + CHECK_TOL:
-                found_b = ib
+                beta_witnesses[ix] = ib
                 break
-        if found_b is None:
-            failures.append(("(iii)", ix, None, bound_best))
         else:
-            beta_witnesses[ix] = found_b
+            failures.append(("(iii)", ix, None, bound_best))
     return CheckReport(
         "H2' game positivity",
         not failures,
@@ -537,23 +536,20 @@ def check_A4(H, gamma_points, r: float, C1_candidate: float) -> CheckReport:
     dirs = shell_directions(pts.shape[1], 16)
     radii = np.geomspace(A4_MIN_RADIUS, r, A4_RADII)
     xi_samples = [d * m for d in dirs for m in (1.0, 3.0)]
-    ratios, cases = [], []
+    scale, cases = [], []
     for x0 in pts:
         for rad in radii:
             for d in dirs:
                 x = x0 + rad * d
                 for xi in xi_samples:
-                    ratios.append(abs(float(H(x, xi))) / (rad**q * float(np.linalg.norm(xi)) ** q))
+                    scale.append(rad**q * float(np.linalg.norm(xi)) ** q)
                     cases.append((x, xi))
+    ratios = np.abs(_grid_values(H, cases)) / np.array(scale)
     worst_C1, i = worst_case(ratios, 0.0, larger=True)
-    return CheckReport(
-        "A4 degeneracy on Gamma",
-        worst_C1 <= C1_candidate * (1.0 + 1e-9) + CHECK_TOL,
-        worst_C1,
-        None if i is None else cases[i],
-        notes=f"smallest feasible C1 on samples: {worst_C1:.6g}",
-        extra={"C1_required": worst_C1},
-    )
+    return CheckReport("A4 degeneracy on Gamma", worst_C1 <= C1_candidate * (1.0 + 1e-9) + CHECK_TOL,
+                       worst_C1, None if i is None else cases[i],
+                       notes=f"smallest feasible C1 on samples: {worst_C1:.6g}",
+                       extra={"C1_required": worst_C1})
 
 
 def estimate_delta(H, x_samples) -> float:

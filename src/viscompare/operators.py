@@ -9,16 +9,21 @@ and report worst cases with witnesses, by the rule of hamiltonians.worst_case
 (a NaN sample wins and fails the check).  Tolerances, sample counts and seeds
 are module constants: CHECK_TOL (ellipticity), HOMOGENEITY_TOL (F2),
 STRUCTURE_TOL (A1, F1), GROWTH_TOL (F3/F4), and the counts and seeds below.
+The ellipticity and F1 samples are drawn once per process and dimension (and
+F1 radius), on first use; a check evaluates sigma and b once per sample point
+and F (_F, also behind __call__) on the whole read-only stack.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import growth
-from .fields import as_point
+from .fields import _row_dots, _scalar_pow, as_point
 from .hamiltonians import (CHECK_TOL, CheckReport, ModulusReport, binned_max,
                            sampled_homogeneity, worst_case)
 
@@ -35,6 +40,21 @@ GROWTH_TOL = 0.02
 def _coeff_array(valuer, x, ndmin: int) -> np.ndarray:
     """A constant or callable coefficient at x, as a float array of ndmin dims."""
     return np.array(valuer(x) if callable(valuer) else valuer, dtype=float, ndmin=ndmin)
+
+
+def _F(s, b, xi, X):
+    """-Tr(s s^T X) + <b, xi> at one sample (s, X of shape (N, N), b, xi of
+    shape (N,)) or per sample of stacks ((M, N, N) and (M, N))."""
+    return (-(s @ s.swapaxes(-1, -2) @ X).trace(axis1=-2, axis2=-1)
+            + (b[..., None, :] @ xi[..., None])[..., 0, 0])
+
+
+def _read_only(stacks) -> tuple:
+    """Each sequence of samples as one stacked array that cannot be written."""
+    out = tuple(np.array(v, dtype=float) for v in stacks)
+    for v in out:
+        v.flags.writeable = False
+    return out
 
 
 def spectral_norm(M: np.ndarray) -> float:
@@ -70,7 +90,7 @@ class DriftDiffusionOperator:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape != (self.N, self.N):
             raise ValueError(f"Hessian argument has shape {X.shape}, expected ({self.N},{self.N})")
-        return float(-np.trace(self.diffusion(x) @ X) + self.b_at(x) @ xi)
+        return float(_F(self.sigma_at(x), self.b_at(x), xi, X))
 
 
 @dataclass(frozen=True)
@@ -121,21 +141,28 @@ def check_F2_homogeneity(F, samples, thetas) -> CheckReport:
                                cases, thetas, 1)
 
 
+@lru_cache(maxsize=None)
+def _ellipticity_draw(N: int) -> tuple:
+    """check_degenerate_ellipticity's cases in dimension N as read-only
+    stacks x, xi, Y and X = Y + G G^T; drawn once per process."""
+    rng = np.random.default_rng(ELLIPTICITY_SEED)
+    cases = []
+    for _ in range(ELLIPTICITY_SAMPLES):
+        x, xi = rng.uniform(-3, 3, N), rng.uniform(-3, 3, N)
+        Y = rng.standard_normal((N, N))
+        Y = 0.5 * (Y + Y.T)
+        G = rng.standard_normal((N, N))
+        cases.append((x, xi, Y, Y + G @ G.T))
+    return _read_only(zip(*cases))
+
+
 def check_degenerate_ellipticity(op: DriftDiffusionOperator) -> CheckReport:
     """Sample F(x, xi, X) <= F(x, xi, Y) + CHECK_TOL for X = Y + (psd increment)."""
-    rng = np.random.default_rng(ELLIPTICITY_SEED)
-    gaps, cases = [], []
-    for _ in range(ELLIPTICITY_SAMPLES):
-        x = rng.uniform(-3, 3, op.N)
-        xi = rng.uniform(-3, 3, op.N)
-        Y = rng.standard_normal((op.N, op.N))
-        Y = 0.5 * (Y + Y.T)
-        G = rng.standard_normal((op.N, op.N))
-        gaps.append(op(x, xi, Y + G @ G.T) - op(x, xi, Y))
-        cases.append((x, xi))
-    worst, i = worst_case(gaps, -np.inf, larger=True)
+    x, xi, Y, X = _ellipticity_draw(op.N)
+    s, b = (np.array([g(p) for p in x]) for g in (op.sigma_at, op.b_at))
+    worst, i = worst_case(_F(s, b, xi, X) - _F(s, b, xi, Y), -np.inf, larger=True)
     return CheckReport("degenerate ellipticity", worst <= CHECK_TOL, worst,
-                       None if i is None else cases[i])
+                       None if i is None else (x[i], xi[i]))
 
 
 @dataclass(frozen=True)
@@ -192,26 +219,29 @@ def check_A1_A3(ext: ExtremalOperator, gamma, window_radius: float = 1.0) -> Che
     pts = [np.asarray(x0) for x0 in np.atleast_2d(gamma.gamma_points) if x0.size]
     values = [v for x0 in pts for v in (ext.sigma0_norm(x0), abs(ext.b0_at(x0)))]
     worst, i = worst_case(values, 0.0, larger=True)
-    rng = np.random.default_rng(LIPSCHITZ_SEED)
-    pairs = [(rng.uniform(-window_radius, window_radius, ext.N),
-              rng.uniform(-window_radius, window_radius, ext.N)) for _ in range(LIPSCHITZ_PAIRS)]
-    lip_s, lip_b = _lipschitz(pairs, ext.sigma0_at, ext.b0_at)
-    return CheckReport(
-        "A1/A3 Gamma degeneracy + local Lipschitz",
-        worst <= STRUCTURE_TOL,
-        worst,
-        None if i is None else pts[i // 2],
-        notes="A1 vanishing checked on Gamma; A3 reported as sampled difference quotients",
-        extra={"lipschitz_sigma0": lip_s, "lipschitz_b0": lip_b},
-    )
+    xy = np.random.default_rng(LIPSCHITZ_SEED).uniform(-window_radius, window_radius,
+                                                        (LIPSCHITZ_PAIRS, 2, ext.N))
+    keep, d = _apart(xy)
+    xy = xy[keep].reshape(-1, ext.N)  # x_1, y_1, x_2, y_2, ...
+    lip_s, lip_b = _lipschitz(d, *(np.array([g(p) for p in xy]) for g in (ext.sigma0_at, ext.b0_at)))
+    return CheckReport("A1/A3 Gamma degeneracy + local Lipschitz", worst <= STRUCTURE_TOL, worst,
+                       None if i is None else pts[i // 2],
+                       notes="A1 vanishing checked on Gamma; A3 reported as sampled difference quotients",
+                       extra={"lipschitz_sigma0": lip_s, "lipschitz_b0": lip_b})
 
 
-def _lipschitz(pairs, *fields):
-    """Per field g, the largest sampled norm of g(x) - g(y) over |x - y|, by
-    worst_case from 0; pairs closer than 1e-12 are skipped."""
-    pairs = [(x, y, d) for x, y in pairs if (d := float(np.linalg.norm(x - y))) >= 1e-12]
-    return [worst_case([float(np.linalg.norm(g(x) - g(y))) / d for x, y, d in pairs],
-                       0.0, larger=True)[0] for g in fields]
+def _apart(xy) -> tuple:
+    """Which pairs x, y of xy (shape (M, 2, N)) lie at least 1e-12 apart, and
+    d = |x - y| of those (by np.linalg.norm's dot kernel)."""
+    d = np.sqrt(_row_dots(xy[:, 0] - xy[:, 1]))
+    return d >= 1e-12, d[d >= 1e-12]
+
+
+def _lipschitz(d, *stacks):
+    """Per field, the largest sampled norm of g(x) - g(y) over d = |x - y|,
+    by worst_case from 0; a field's stack holds g at x_1, y_1, x_2, y_2, ..."""
+    flat = [(v[0::2] - v[1::2]).reshape(len(d), math.prod(v.shape[1:])) for v in stacks]
+    return [worst_case(np.sqrt(_row_dots(D)) / d, 0.0, larger=True)[0] for D in flat]
 
 
 def _admissible_blocks(rng, N: int, eps: float):
@@ -238,6 +268,23 @@ def _admissible_blocks(rng, N: int, eps: float):
     return X, Y
 
 
+@lru_cache(maxsize=None)
+def _f1_draw(N: int, R: float) -> tuple:
+    """check_F1_standard_form's samples in B_R in dimension N, as read-only
+    stacks over the pairs at least 1e-12 apart: (x, y), d = |x - y|, eps and
+    an admissible block pair X, Y; drawn once per process and (N, R)."""
+    rng = np.random.default_rng(F1_SEED)
+    xy, eps = [], []
+    for _ in range(F1_PAIRS):
+        x = rng.uniform(-R, R, N)
+        xy.append((x, np.clip(x + rng.uniform(-0.5 * R, 0.5 * R, N), -R, R)))
+        eps.append(float(rng.choice(F1_EPS_VALUES)))
+    keep, d = _apart(np.array(xy))
+    eps = np.array(eps)[keep]
+    blocks = zip(*(_admissible_blocks(rng, N, e) for e in eps))  # X, Y; after all pairs
+    return _read_only((np.array(xy)[keep], d, eps, *blocks))
+
+
 def check_F1_standard_form(op: DriftDiffusionOperator, R: float) -> ModulusReport:
     """Structure-condition consequence on block-admissible matrix pairs.
 
@@ -247,34 +294,18 @@ def check_F1_standard_form(op: DriftDiffusionOperator, R: float) -> ModulusRepor
     3 Lip(sigma)^2 + Lip(b) (estimated on the same window), which is the
     pass criterion; a NaN value fails it.
     """
-    rng = np.random.default_rng(F1_SEED)
-    pair_samples = []
-    for _ in range(F1_PAIRS):
-        x = rng.uniform(-R, R, op.N)
-        y = np.clip(x + rng.uniform(-0.5 * R, 0.5 * R, op.N), -R, R)
-        pair_samples.append((x, y, float(rng.choice(F1_EPS_VALUES))))
-    lip_s, lip_b = _lipschitz([(x, y) for x, y, _ in pair_samples], op.sigma_at, op.b_at)
+    xy, d, eps, X, Y = _f1_draw(op.N, float(R))
+    pts = xy.reshape(-1, op.N)  # x_1, y_1, x_2, y_2, ...
+    s, b = (np.array([g(p) for p in pts]) for g in (op.sigma_at, op.b_at))
+    lip_s, lip_b = _lipschitz(d, s, b)
     c_est = 3.0 * lip_s**2 + lip_b
-
-    dists, normalized = [], []
-    for x, y, eps in pair_samples:
-        x, y = as_point(x, op.N), as_point(y, op.N)
-        d = float(np.linalg.norm(x - y))
-        if d < 1e-12:
-            continue
-        X, Y = _admissible_blocks(rng, op.N, eps)
-        p = (x - y) / eps
-        gap = op(y, p, Y) - op(x, p, X)
-        dists.append(d)
-        normalized.append(max(gap, 0.0) / (d + d**2 / eps))
-    edges, values = binned_max(dists, normalized)
+    p = (xy[:, 0] - xy[:, 1]) / eps[:, None]
+    gap = _F(s[1::2], b[1::2], p, Y) - _F(s[0::2], b[0::2], p, X)
+    # max(gap, 0.0) as Python takes it: -0.0 and NaN stay
+    normalized = np.where(0.0 > gap, 0.0, gap) / (d + _scalar_pow(d, 2) / eps)
+    edges, values = binned_max(d, normalized)
     filled = [v for v in values if not np.isnan(v)]
     passed = not np.isnan(normalized).any() and all(v <= c_est * 1.1 + STRUCTURE_TOL for v in filled)
-    return ModulusReport(
-        "F1 structure condition",
-        tuple(edges),
-        tuple(values),
-        passed,
-        notes="empirical table on structured block pairs; consistent-with check only",
-        extra={"lipschitz_sigma": lip_s, "lipschitz_b": lip_b, "bound_estimate": c_est},
-    )
+    return ModulusReport("F1 structure condition", tuple(edges), tuple(values), passed,
+                         notes="empirical table on structured block pairs; consistent-with check only",
+                         extra={"lipschitz_sigma": lip_s, "lipschitz_b": lip_b, "bound_estimate": c_est})

@@ -60,9 +60,6 @@ class ProblemSpec:
     def Hval(self, x, xi) -> float:
         return 0.0 if self.hamiltonian is None else float(self.hamiltonian(x, xi))
 
-    def F(self, x, xi, X) -> float:
-        return self.operator(x, xi, X)
-
     def P(self, x, X) -> float:
         return self.extremal.P(x, X)
 

@@ -172,6 +172,9 @@ class DiscreteOperator:
         self.D = [diff[:, ax, ax] for ax in range(problem.N)]
         # values(G) / slopes(G) of the gradient term at the interior nodes
         self.hamiltonian = on_grid(problem.hamiltonian, self.points_int)
+        # H(x, 0) of a built-in shape is not finite exactly where its coefficients are not
+        _require_finite("Hamiltonian coefficient",
+                        self.hamiltonian.values(np.zeros_like(self.points_int)), self.points_int)
 
     # -- array plumbing ----------------------------------------------------
 

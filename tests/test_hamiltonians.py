@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pointwise_oracle as oracle
 import pytest
@@ -624,3 +626,48 @@ def test_one_node_calls_and_grids_equal_the_oracle_bit_for_bit(shape, N, nodes):
     grid = on_grid(H, points)
     assert bits(grid.values(G)) == bits(want_v)
     assert bits(grid.slopes(G)) == bits(want_s)
+
+
+# ---------------------------------------------------------------------------
+# the sampled checkers evaluate H on one grid per sample set
+
+
+@dataclasses.dataclass(frozen=True)
+class GridCounting(PowerHamiltonian):
+    """A power form that records the node count of every grid it builds."""
+
+    grids: list = dataclasses.field(default_factory=list, compare=False)
+
+    def on_grid(self, points):
+        self.grids.append(len(points))
+        return super().on_grid(points)
+
+
+def test_h_checkers_build_one_grid_per_sample_set():
+    H = GridCounting(A=np.diag([1.0, 2.0]), q=2.0)
+    xs = [np.full(2, v) for v in (-1.0, 0.0, 1.0)]
+    xis = [np.array([1.0, -0.5]), np.array([0.3, 2.0])]
+    assert check_H1_convexity(H, xs, [(xis[0], xis[1])], (0.25, 0.5, 0.75)).passed
+    assert check_H2_bounds(H, 0.5, 2.5, [(x, xi) for x in xs for xi in xis]).passed
+    pairs = [(x, y, xi) for x in xs for y in xs for xi in xis if not np.array_equal(x, y)]
+    check_H4_modulus(H, 2.0, pairs)
+    check_A4(H, np.zeros((1, 2)), 1.0, 10.0)
+    # H1: xi1, xi2 and three mixes per x; H2: one per sample; H4: x and y per
+    # pair; A4: 12 radii x 16 directions x 32 gradients around one point
+    assert H.grids == [3 * 5, 6, 2 * len(pairs), 12 * 16 * 32]
+
+
+def test_h1_checks_the_t_samples_before_evaluating_h():
+    H = PowerHamiltonian(A=-np.eye(1), q=3.0)  # a domain error at every xi != 0
+    with pytest.raises(ValueError, match=r"t samples must lie in \(0,1\), got 1\.5"):
+        check_H1_convexity(H, [np.zeros(1)], [(np.ones(1), -np.ones(1))], (0.5, 1.5))
+
+
+def test_batched_h_checkers_name_the_first_bad_node_in_evaluation_order():
+    # A(x) = x: <A xi, xi> < 0 first at x = -0.5 in the order H1 evaluates
+    H = PowerHamiltonian(A=lambda x: np.array([[float(x[0])]]), q=3.0)
+    xs = [np.array([v]) for v in (0.5, -0.5, -2.0)]
+    with pytest.raises(HamiltonianDomainError, match=r"at x = \[-0\.5\]"):
+        check_H1_convexity(H, xs, [(np.ones(1), -np.ones(1))], (0.5,))
+    with pytest.raises(HamiltonianDomainError, match=r"at x = \[-2\.\]"):
+        check_H4_modulus(H, 3.0, [(np.array([1.0]), np.array([-2.0]), np.ones(1))])

@@ -1,8 +1,17 @@
-import numpy as np
-import pytest
+import dataclasses
 
+import numpy as np
+import operator_oracle as oracle
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from viscompare import operators
+from viscompare.fields import Polynomial
 from viscompare.hamiltonians import SignedScalarHamiltonian, compute_gamma
 from viscompare.operators import (
+    ELLIPTICITY_SAMPLES,
+    F1_PAIRS,
     DriftDiffusionOperator,
     ExtremalOperator,
     canonical_extremal,
@@ -12,6 +21,8 @@ from viscompare.operators import (
     check_F3_F4_growth,
     spectral_norm,
 )
+from viscompare.problems import eq13
+from viscompare.theorems import check_hypotheses
 
 
 def test_eval_F_trace():
@@ -219,3 +230,109 @@ def test_F2_generic_evaluator_check():
     affine = lambda x, xi, X: -float(np.trace(X)) + 1.0
     rep = check_F2_homogeneity(affine, samples, (2.0,))
     assert not rep.passed
+
+
+# ---------------------------------------------------------------------------
+# the drawn-once, evaluated-once checkers against the per-sample oracle
+# (tests/operator_oracle.py)
+
+
+def bits(obj):
+    """A report's content as nested tuples, every number by its float bytes."""
+    if dataclasses.is_dataclass(obj):
+        return bits([getattr(obj, f.name) for f in dataclasses.fields(obj)])
+    if isinstance(obj, dict):
+        return tuple((k, bits(v)) for k, v in sorted(obj.items()))
+    if isinstance(obj, (tuple, list)):
+        return tuple(bits(v) for v in obj)
+    if obj is None or isinstance(obj, str):
+        return obj
+    v = np.asarray(obj, dtype=float)
+    return np.where(np.isnan(v), np.nan, v).tobytes()  # one NaN: its sign bit is not content
+
+
+def polynomial_coefficients(N, sigma_tables, b_tables, nan_from):
+    """sigma (N x N) and b (N) with polynomial entries; with nan_from set,
+    sigma[0][0] and b[0] are NaN where x[0] > nan_from."""
+    polys = [Polynomial.from_table({k[:N]: c for k, c in table.items()}, N)
+             for table in sigma_tables[:N * N] + b_tables[:N]]
+
+    def nan_beyond(value, x):
+        return float("nan") if nan_from is not None and x[0] > nan_from else value
+
+    def sigma(x):
+        S = np.array([[p(x) for p in polys[i * N:(i + 1) * N]] for i in range(N)])
+        S[0, 0] = nan_beyond(S[0, 0], x)
+        return S
+
+    def b(x):
+        v = np.array([p(x) for p in polys[N * N:]])
+        v[0] = nan_beyond(v[0], x)
+        return v
+
+    return sigma, b
+
+
+monomial_table = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                                 st.floats(-2.0, 2.0), max_size=3)
+
+
+@pytest.mark.parametrize("N", [1, 2])
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(sigma_tables=st.lists(monomial_table, min_size=4, max_size=4),
+       b_tables=st.lists(monomial_table, min_size=2, max_size=2),
+       nan_from=st.none() | st.floats(-3.0, 3.0), R=st.sampled_from([0.5, 2.0]))
+def test_checkers_equal_the_per_sample_oracle_bit_for_bit(N, sigma_tables, b_tables, nan_from, R):
+    """Both checkers read the cached draws and evaluate sigma and b once per
+    point; their reports equal the per-sample loops', NaN samples included."""
+    sigma, b = polynomial_coefficients(N, sigma_tables, b_tables, nan_from)
+    op = DriftDiffusionOperator(sigma=sigma, b=b, N=N)
+    assert bits(check_degenerate_ellipticity(op)) == bits(oracle.check_degenerate_ellipticity(op))
+    assert bits(check_F1_standard_form(op, R)) == bits(oracle.check_F1_standard_form(op, R))
+
+
+def counting(value, calls):
+    def counted(x):
+        calls.append(1)
+        return value(x)
+    return counted
+
+
+def test_checkers_evaluate_sigma_and_b_once_per_sample_point():
+    # the oracle evaluates each twice per ellipticity sample (1,000 times)
+    # and F1 four times per kept pair
+    sigma_calls, b_calls = [], []
+    op = DriftDiffusionOperator(sigma=counting(lambda x: np.array([[1.0 + x[0]]]), sigma_calls),
+                                b=counting(lambda x: np.array([x[0]]), b_calls), N=1)
+    check_degenerate_ellipticity(op)
+    assert len(sigma_calls) == len(b_calls) == ELLIPTICITY_SAMPLES == 500
+    sigma_calls.clear(), b_calls.clear()
+    check_F1_standard_form(op, R=2.0)
+    assert len(sigma_calls) == len(b_calls) <= 2 * F1_PAIRS == 480
+
+
+def test_admissible_blocks_are_drawn_once_per_dimension_and_radius(monkeypatch):
+    calls = []
+    draw = operators._admissible_blocks
+    monkeypatch.setattr(operators, "_admissible_blocks",
+                        lambda rng, N, eps: calls.append(N) or draw(rng, N, eps))
+    operators._f1_draw.cache_clear()
+    check_hypotheses(eq13())
+    kept = len(calls)
+    assert 0 < kept <= F1_PAIRS
+    check_hypotheses(eq13())
+    check_hypotheses(eq13(lam=2.0))
+    assert len(calls) == kept  # N = 1, R = 2.0: one draw for all three
+    check_hypotheses(eq13(N=2))
+    assert len(calls) > kept and set(calls[kept:]) == {2}
+    check_F1_standard_form(DriftDiffusionOperator(sigma=np.eye(1), b=np.zeros(1), N=1), R=0.5)
+    n = len(calls)
+    check_F1_standard_form(DriftDiffusionOperator(sigma=np.eye(1), b=np.ones(1), N=1), R=0.5)
+    assert len(calls) == n
+
+
+def test_cached_draws_are_read_only():
+    check_F1_standard_form(DriftDiffusionOperator(sigma=np.eye(2), b=np.zeros(2), N=2), R=2.0)
+    for stack in operators._ellipticity_draw(2) + operators._f1_draw(2, 2.0):
+        with pytest.raises(ValueError, match="read-only"):
+            stack[0] = 0.0

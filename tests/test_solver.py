@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from viscompare.hamiltonians import GameHamiltonian, SignedScalarHamiltonian
+from viscompare.hamiltonians import (GameHamiltonian, MinConvexHamiltonian, PowerHamiltonian,
+                                     SignedScalarHamiltonian)
 from viscompare.operators import DriftDiffusionOperator
 from viscompare.problems import (
     ProblemSpec,
@@ -447,10 +448,24 @@ def nan_at(point, value):
     return lambda x: np.full_like(value(x), np.nan) if np.allclose(x, point) else value(x)
 
 
-def signed_problem(sigma=lambda x: np.eye(1), b=lambda x: np.zeros(1), f=lambda x: 0.0, N=1):
+def signed_problem(sigma=lambda x: np.eye(1), b=lambda x: np.zeros(1), f=lambda x: 0.0, N=1,
+                   hamiltonian=SignedScalarHamiltonian(a=1.0, q=2.0)):
     op = DriftDiffusionOperator(sigma=sigma, b=b, N=N)
-    return ProblemSpec(N=N, lam=1.0, operator=op, q=2.0, f=f,
-                       hamiltonian=SignedScalarHamiltonian(a=1.0, q=2.0))
+    return ProblemSpec(N=N, lam=1.0, operator=op, q=2.0, f=f, hamiltonian=hamiltonian)
+
+
+# each built-in shape with its coefficient (A, a, a component's A, the game
+# sigma) NaN at the node 0.5
+NAN_A = nan_at([0.5], lambda x: np.eye(1))
+NAN_HAMILTONIANS = {
+    "power": PowerHamiltonian(A=NAN_A, q=2.0),
+    "signed": SignedScalarHamiltonian(a=lambda x: float("nan") if np.isclose(x[0], 0.5) else 1.0,
+                                      q=2.0),
+    "min_convex": MinConvexHamiltonian(components=(PowerHamiltonian(A=np.eye(1), q=2.0),
+                                                   PowerHamiltonian(A=NAN_A, q=2.0)), q=2.0),
+    "game": GameHamiltonian((0, 1), (0,), lambda x, a, b: (1.0 + a) * NAN_A(x),
+                            lambda x, a, b: np.zeros((1, 1))),
+}
 
 
 LINE = Box(center=(0.0,), half_width=(1.0,))
@@ -467,7 +482,9 @@ LINE = Box(center=(0.0,), half_width=(1.0,))
     (signed_problem(sigma=nan_at([0.5, 0.0], lambda x: np.eye(2)), b=lambda x: np.zeros(2), N=2),
      Box(center=(0.0, 0.0), half_width=(1.0, 1.0)), 0.0,
      r"sigma sigma\^T is not finite at node \[0\.5 0\. \]"),
-], ids=["f", "boundary", "b", "sigma_2d"])
+] + [(signed_problem(hamiltonian=H), LINE, 0.0, r"Hamiltonian coefficient is not finite at node \[0\.5\]")
+      for H in NAN_HAMILTONIANS.values()],
+   ids=["f", "boundary", "b", "sigma_2d", *(f"hamiltonian_{k}" for k in NAN_HAMILTONIANS)])
 def test_solve_refuses_non_finite_data_naming_the_node(problem, box, boundary, message):
     with pytest.raises(ValueError, match=message):
         solve(problem, box, 0.25, boundary)
@@ -477,3 +494,9 @@ def test_comparison_check_refuses_non_finite_f_naming_the_node():
     f_high = lambda x: float("nan") if np.isclose(x[0], -0.25) else 1.0
     with pytest.raises(ValueError, match=r"f is not finite at node \[-0\.25\]"):
         comparison_check(signed_problem(), LINE, 0.25, lambda x: 0.0, f_high, 0.0, 0.0)
+
+
+def test_comparison_check_refuses_a_non_finite_hamiltonian_coefficient():
+    problem = signed_problem(hamiltonian=NAN_HAMILTONIANS["signed"])
+    with pytest.raises(ValueError, match=r"Hamiltonian coefficient is not finite at node \[0\.5\]"):
+        comparison_check(problem, LINE, 0.25, lambda x: 0.0, lambda x: 1.0, 0.0, 0.0)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -308,4 +310,14 @@ def test_solve_system_refuses_non_finite_f_naming_the_node():
     f0 = lambda x: float("nan") if np.isclose(x[0], 0.5) else 0.0
     system = system2("mean", c=0.5, f_list=[f0, 0.0])
     with pytest.raises(ValueError, match=r"f is not finite at node \[0\.5\]"):
+        solve_system(system, Box(center=(0.0,), half_width=(1.0,)), 0.25, [0.0, 0.0])
+
+
+def test_solve_system_refuses_a_non_finite_hamiltonian_coefficient():
+    A = lambda x: np.full((1, 1), np.nan) if np.isclose(x[0], 0.5) else np.eye(1)
+    system = system2("mean", c=0.5)
+    comps = (system.components[0],
+             dataclasses.replace(system.components[1], hamiltonian=PowerHamiltonian(A=A, q=2.0)))
+    system = dataclasses.replace(system, components=comps)
+    with pytest.raises(ValueError, match=r"Hamiltonian coefficient is not finite at node \[0\.5\]"):
         solve_system(system, Box(center=(0.0,), half_width=(1.0,)), 0.25, [0.0, 0.0])
